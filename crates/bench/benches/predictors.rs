@@ -6,9 +6,7 @@
 //! bounds how much evaluation a given time budget buys.
 //!
 //! This is a self-contained `std::time` harness so the offline tier-1 build
-//! never needs a registry; a criterion version of the same measurements
-//! lives in `extras/net-deps` for machines with network access. Each
-//! measurement reports the median of `SAMPLES` trials as branches/second,
+//! never needs a registry. Each measurement reports the median of `SAMPLES` trials as branches/second,
 //! and the whole run can be captured as one JSON line with
 //! `LLBPX_TELEMETRY=1` (or `--json <path>`).
 

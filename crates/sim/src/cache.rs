@@ -1,61 +1,45 @@
-//! The shared trace cache behind the run matrix, with a memory-pressure
-//! degradation ladder instead of the old binary materialize/stream choice.
+//! The shared trace cache behind the run matrix.
 //!
-//! Traces are materialized *lazily*, at the moment the first cell on a
-//! workload claims them, and held as `Arc<Vec<BranchRecord>>` entries under
-//! the `LLBPX_TRACE_CACHE_MB` cap. When admitting a new trace would exceed
-//! the cap, the ladder degrades gracefully instead of refusing outright:
+//! Before any cell runs, [`TraceCache::plan`] decides per distinct workload
+//! spec, in job order, whether its trace is materialized or streamed: a
+//! spec is materialized when two or more cells share it and its estimated
+//! size ([`estimated_records`]) fits what is left of the
+//! `LLBPX_TRACE_CACHE_MB` cap, which then reserves that size. Every other
+//! spec streams from the generator, which replays the same records in the
+//! same order, so the decision never changes a simulated result.
 //!
-//! 1. **Evict** least-recently-used entries that no in-flight run holds
-//!    (`Arc` strong count of 1) until the newcomer fits;
-//! 2. if pinned entries alone exceed the budget, **demote** the newcomer's
-//!    cells to the streaming path — bit-identical results (streaming and
-//!    replay are proven equal), attributed with `degraded: true` in
-//!    telemetry;
-//! 3. a workload whose generation *fails* (invalid spec, corrupt stream —
-//!    including chaos-injected corruption) is remembered and streamed by
-//!    every cell, where the same failure surfaces per cell instead of
-//!    poisoning the sweep.
-//!
-//! Concurrent cells on the same workload generate its trace once: the
-//! first claimant generates (bumping its supervision heartbeat as it
-//! goes), later claimants wait on a condvar. Degradation never changes
-//! simulated results, only memory footprint and attribution.
+//! A planned trace is generated lazily by the first cell that claims it,
+//! while the other cells on that workload wait; that overlap of generation
+//! with simulation on the other workers is where the cache earns its keep.
+//! A trace that grows past its reservation is dropped and its cells
+//! stream; a trace that fails validation fails each of its cells with the
+//! structured [`SimError`]. The last sharer's claim releases the cache's
+//! hold on the trace, so its memory goes when that cell finishes.
 
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use traces::{BranchRecord, BranchStream, FaultInjector, StreamValidator};
+use traces::{BranchRecord, BranchStream, StreamValidator};
 use workloads::{ServerWorkload, WorkloadSpec};
 
-use crate::chaos::{ChaosEvent, ChaosPlan};
 use crate::error::SimError;
-use crate::supervise::JobTicket;
 
-/// How many records the generator emits between heartbeat bumps and
-/// cancellation checks while materializing.
-const GENERATION_STRIDE: usize = 4096;
+const RECORD_BYTES: u64 = std::mem::size_of::<BranchRecord>() as u64;
 
 /// How the shared trace cache behaved for one matrix.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TraceCacheStats {
-    /// Distinct workload specs materialized into shared storage at some
-    /// point during the sweep.
+    /// Distinct workload specs materialized into shared storage.
     pub specs_cached: usize,
-    /// Distinct specs that only ever streamed (single-job specs, cap
-    /// overflow, or generation failures).
+    /// Distinct specs that streamed (single-job specs, specs that did not
+    /// fit the cap, and traces that overran their reservation).
     pub specs_streamed: usize,
-    /// Total records materialized across all cached traces (cumulative,
-    /// not high-water).
+    /// Total records materialized across all cached traces.
     pub cached_records: u64,
-    /// Total bytes materialized across all cached traces (cumulative).
+    /// Total bytes materialized across all cached traces.
     pub cached_bytes: u64,
     /// Wall-clock seconds spent generating shared traces.
     pub generation_seconds: f64,
-    /// Idle (unreferenced) traces evicted to admit newcomers.
-    pub evictions: u64,
-    /// Cell claims demoted to streaming under memory pressure.
-    pub demotions: u64,
 }
 
 /// What one cell got from the cache.
@@ -63,72 +47,77 @@ pub struct TraceCacheStats {
 pub enum TraceLease {
     /// A shared materialized trace to replay read-only.
     Materialized(Arc<Vec<BranchRecord>>),
-    /// Stream from the generator. `degraded` is true when the cell
-    /// *wanted* the cache but memory pressure demoted it.
-    Streamed {
-        /// Demoted under memory pressure (vs. streaming by design).
-        degraded: bool,
-    },
+    /// Stream from the generator.
+    Streamed,
 }
 
-struct CacheEntry {
+/// The state of one planned trace.
+enum Slot {
+    /// Not claimed yet; holds its reservation in bytes.
+    Planned(u64),
+    /// The first claimant is generating it; later claimants wait.
+    Generating,
+    /// Generated and validated.
+    Ready(Arc<Vec<BranchRecord>>),
+    /// Every sharer has claimed it; the cache holds nothing any more.
+    Released,
+    /// It grew past its reservation: its cells stream.
+    Overran,
+    /// Generation failed: its cells fail with this error.
+    Failed(SimError),
+}
+
+struct Entry {
     spec: WorkloadSpec,
-    trace: Arc<Vec<BranchRecord>>,
-    bytes: u64,
-    last_used: u64,
+    /// Cells that have not claimed the trace yet.
+    unclaimed: usize,
+    slot: Slot,
 }
 
-#[derive(Default)]
 struct Inner {
-    entries: Vec<CacheEntry>,
-    /// Specs some worker is currently generating; others wait.
-    generating: Vec<WorkloadSpec>,
-    /// Specs whose generation failed: stream forever, don't retry.
-    rejected: Vec<WorkloadSpec>,
-    /// Specs that overflowed the cap once: stream (degraded) without
-    /// re-generating — regeneration would redo the whole overflowing scan.
-    demoted: Vec<WorkloadSpec>,
-    /// Specs already counted in `specs_cached` / `specs_streamed`.
-    counted_cached: Vec<WorkloadSpec>,
-    counted_streamed: Vec<WorkloadSpec>,
-    clock: u64,
+    entries: Vec<Entry>,
     stats: TraceCacheStats,
 }
 
-impl Inner {
-    fn used_bytes(&self) -> u64 {
-        self.entries.iter().map(|e| e.bytes).sum()
-    }
-
-    fn count_streamed(&mut self, spec: &WorkloadSpec) {
-        if !self.counted_streamed.contains(spec) && !self.counted_cached.contains(spec) {
-            self.counted_streamed.push(spec.clone());
-            self.stats.specs_streamed += 1;
-        }
-    }
-}
-
-/// The shared, lazily-filled, LRU-evicting trace cache for one matrix.
+/// The shared, lazily-filled trace cache for one matrix.
 pub struct TraceCache {
-    cap_bytes: u64,
     /// Instructions each trace must cover (warmup + measurement).
     budget: u64,
-    chaos: Option<Arc<ChaosPlan>>,
     inner: Mutex<Inner>,
     ready: Condvar,
 }
 
 impl TraceCache {
-    /// A cache holding at most `cap_bytes` of materialized records, each
-    /// covering `budget` instructions.
-    pub fn new(cap_bytes: u64, budget: u64, chaos: Option<Arc<ChaosPlan>>) -> Self {
-        TraceCache {
-            cap_bytes,
-            budget,
-            chaos,
-            inner: Mutex::new(Inner::default()),
-            ready: Condvar::new(),
+    /// Plans the cache for a matrix whose cells run on `specs` (one per
+    /// job, in job order), holding at most `cap_bytes` of traces that each
+    /// cover `budget` instructions.
+    pub fn plan<'s>(
+        specs: impl IntoIterator<Item = &'s WorkloadSpec>,
+        cap_bytes: u64,
+        budget: u64,
+    ) -> Self {
+        let specs: Vec<&WorkloadSpec> = specs.into_iter().collect();
+        let mut left = cap_bytes;
+        let mut entries = Vec::new();
+        let mut stats = TraceCacheStats::default();
+        for (i, &spec) in specs.iter().enumerate() {
+            if specs[..i].contains(&spec) {
+                continue;
+            }
+            let sharers = specs[i..].iter().filter(|&&s| s == spec).count();
+            let reserved = estimated_records(spec, budget) as u64 * RECORD_BYTES;
+            if sharers >= 2 && reserved <= left {
+                left -= reserved;
+                entries.push(Entry {
+                    spec: spec.clone(),
+                    unclaimed: sharers,
+                    slot: Slot::Planned(reserved),
+                });
+            } else {
+                stats.specs_streamed += 1;
+            }
         }
+        TraceCache { budget, inner: Mutex::new(Inner { entries, stats }), ready: Condvar::new() }
     }
 
     /// Cache behavior so far.
@@ -140,173 +129,69 @@ impl TraceCache {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Claims workload `spec`'s trace for one cell. `sharers` is how many
-    /// cells of the matrix run this workload — singletons stream by
-    /// design (materializing would cost more than it saves), as does
-    /// everything when the cap is zero.
-    ///
-    /// Blocks while another worker generates the same trace; generation on
-    /// this worker bumps `ticket`'s heartbeat and aborts if the ticket is
-    /// cancelled (the caller notices the cancellation right after).
-    pub fn acquire(
-        &self,
-        spec: &WorkloadSpec,
-        sharers: usize,
-        ticket: &JobTicket,
-    ) -> TraceLease {
+    /// Claims workload `spec`'s trace for one cell. The first claimant of
+    /// a planned trace generates it; later claimants block until it is
+    /// ready. An error means the trace failed validation, and every cell
+    /// on the workload gets the same error.
+    pub fn acquire(&self, spec: &WorkloadSpec) -> Result<TraceLease, SimError> {
         let mut inner = self.lock();
-        loop {
-            if let Some(entry) =
-                inner.entries.iter_mut().find(|e| e.spec == *spec)
-            {
-                let lease = TraceLease::Materialized(Arc::clone(&entry.trace));
-                inner.clock += 1;
-                let clock = inner.clock;
-                // Re-find to appease the borrow checker after the clock bump.
-                if let Some(entry) = inner.entries.iter_mut().find(|e| e.spec == *spec) {
-                    entry.last_used = clock;
-                }
-                return lease;
-            }
-            if inner.rejected.contains(spec) {
-                inner.count_streamed(spec);
-                return TraceLease::Streamed { degraded: false };
-            }
-            if inner.demoted.contains(spec) {
-                inner.stats.demotions += 1;
-                return TraceLease::Streamed { degraded: true };
-            }
-            if sharers < 2 || self.cap_bytes == 0 {
-                inner.count_streamed(spec);
-                return TraceLease::Streamed { degraded: false };
-            }
-            if inner.generating.contains(spec) {
-                inner = self.ready.wait(inner).unwrap_or_else(PoisonError::into_inner);
-                continue;
-            }
-            break;
-        }
-
-        inner.generating.push(spec.clone());
-        // Entries still referenced by running cells are pinned; only the
-        // rest is reclaimable, so generation gets the cap minus pins.
-        let pinned: u64 = inner
-            .entries
-            .iter()
-            .filter(|e| Arc::strong_count(&e.trace) > 1)
-            .map(|e| e.bytes)
-            .sum();
-        let gen_cap = self.cap_bytes.saturating_sub(pinned);
-        drop(inner);
-
-        let started = Instant::now();
-        let generated = self.generate(spec, gen_cap, ticket);
-        let elapsed = started.elapsed().as_secs_f64();
-
-        let mut inner = self.lock();
-        inner.generating.retain(|s| s != spec);
-        inner.stats.generation_seconds += elapsed;
-        let lease = if ticket.cancelled().is_some() {
-            // Aborted mid-generation: decide nothing about this spec; the
-            // caller is about to unwind into a timeout error anyway.
-            TraceLease::Streamed { degraded: false }
-        } else {
-            match generated {
-                Ok(Some(trace)) => {
-                    let bytes =
-                        trace.len() as u64 * std::mem::size_of::<BranchRecord>() as u64;
-                    while inner.used_bytes() + bytes > self.cap_bytes {
-                        let victim = inner
-                            .entries
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, e)| Arc::strong_count(&e.trace) == 1)
-                            .min_by_key(|(_, e)| e.last_used)
-                            .map(|(i, _)| i);
-                        let Some(victim) = victim else { break };
-                        inner.entries.swap_remove(victim);
-                        inner.stats.evictions += 1;
-                    }
-                    if !inner.counted_cached.contains(spec) {
-                        inner.counted_cached.push(spec.clone());
-                        inner.stats.specs_cached += 1;
-                    }
-                    inner.stats.cached_records += trace.len() as u64;
-                    inner.stats.cached_bytes += bytes;
-                    inner.clock += 1;
-                    let clock = inner.clock;
-                    inner.entries.push(CacheEntry {
-                        spec: spec.clone(),
-                        trace: Arc::clone(&trace),
-                        bytes,
-                        last_used: clock,
-                    });
-                    TraceLease::Materialized(trace)
-                }
-                Ok(None) => {
-                    inner.demoted.push(spec.clone());
-                    inner.count_streamed(spec);
-                    inner.stats.demotions += 1;
-                    TraceLease::Streamed { degraded: true }
-                }
-                Err(e) => {
-                    // The cells still run (individually isolated) on the
-                    // streaming path, where the same failure surfaces as
-                    // per-cell errors instead of one global abort.
-                    eprintln!("warning: {e}; streaming workload `{}`", spec.name);
-                    inner.rejected.push(spec.clone());
-                    inner.count_streamed(spec);
-                    TraceLease::Streamed { degraded: false }
-                }
-            }
+        let Some(i) = inner.entries.iter().position(|e| e.spec == *spec) else {
+            return Ok(TraceLease::Streamed);
         };
-        drop(inner);
-        self.ready.notify_all();
+        loop {
+            match inner.entries[i].slot {
+                Slot::Generating => {
+                    inner = self.ready.wait(inner).unwrap_or_else(PoisonError::into_inner);
+                }
+                Slot::Planned(reserved) => {
+                    inner.entries[i].slot = Slot::Generating;
+                    drop(inner);
+                    let started = Instant::now();
+                    let generated = generate(spec, self.budget, reserved);
+                    inner = self.lock();
+                    inner.stats.generation_seconds += started.elapsed().as_secs_f64();
+                    inner.entries[i].slot = match generated {
+                        Ok(Some(trace)) => {
+                            inner.stats.specs_cached += 1;
+                            inner.stats.cached_records += trace.len() as u64;
+                            inner.stats.cached_bytes += trace.len() as u64 * RECORD_BYTES;
+                            Slot::Ready(trace)
+                        }
+                        Ok(None) => {
+                            inner.stats.specs_streamed += 1;
+                            Slot::Overran
+                        }
+                        Err(e) => Slot::Failed(e),
+                    };
+                    self.ready.notify_all();
+                }
+                _ => break,
+            }
+        }
+        let entry = &mut inner.entries[i];
+        entry.unclaimed = entry.unclaimed.saturating_sub(1);
+        let lease = match &entry.slot {
+            Slot::Ready(trace) => Ok(TraceLease::Materialized(Arc::clone(trace))),
+            Slot::Failed(e) => Err(e.clone()),
+            _ => Ok(TraceLease::Streamed),
+        };
+        if entry.unclaimed == 0 && matches!(entry.slot, Slot::Ready(_)) {
+            entry.slot = Slot::Released;
+        }
         lease
     }
+}
 
-    fn generate(
-        &self,
-        spec: &WorkloadSpec,
-        cap_bytes: u64,
-        ticket: &JobTicket,
-    ) -> Result<Option<Arc<Vec<BranchRecord>>>, SimError> {
-        let fault = self.chaos.as_deref().and_then(|c| {
-            let class = c.trace_fault(&spec.name)?;
-            c.record(ChaosEvent {
-                cell: None,
-                attempt: 0,
-                workload: spec.name.clone(),
-                kind: format!("trace-{class:?}").to_lowercase(),
-                outcome: "injected".into(),
-            });
-            Some((class, c.trace_fault_seed(&spec.name)))
-        });
-        let mut stream = ServerWorkload::try_new(spec)
-            .map_err(|reason| SimError::InvalidSpec { workload: spec.name.clone(), reason })?;
-        let hint = estimated_records(spec, self.budget);
-        match fault {
-            Some((class, seed)) => {
-                let mut faulty = FaultInjector::new(stream, class, seed);
-                materialize_stream(
-                    &spec.name,
-                    &mut faulty,
-                    self.budget,
-                    cap_bytes,
-                    hint,
-                    Some(ticket),
-                )
-            }
-            None => materialize_stream(
-                &spec.name,
-                &mut stream,
-                self.budget,
-                cap_bytes,
-                hint,
-                Some(ticket),
-            ),
-        }
-    }
+/// Generates and validates `spec`'s trace within `cap_bytes`.
+fn generate(
+    spec: &WorkloadSpec,
+    budget: u64,
+    cap_bytes: u64,
+) -> Result<Option<Arc<Vec<BranchRecord>>>, SimError> {
+    let mut stream = ServerWorkload::try_new(spec)
+        .map_err(|reason| SimError::InvalidSpec { workload: spec.name.clone(), reason })?;
+    let hint = estimated_records(spec, budget);
+    materialize_stream(&spec.name, &mut stream, budget, cap_bytes, hint)
 }
 
 /// Materializes `stream` into shared read-only storage covering at least
@@ -324,10 +209,6 @@ impl TraceCache {
 /// completion), so replaying the result is bit-identical to streaming the
 /// generator — same records, same order, same stopping point.
 ///
-/// With a `ticket`, generation bumps its supervision heartbeat every
-/// [`GENERATION_STRIDE`] records and stops early (returning `Ok(None)`)
-/// once the ticket is cancelled.
-///
 /// The record buffer is allocated once up front (sized by `capacity_hint`,
 /// clamped to the cap) and handed to the `Arc` by move. Growth
 /// reallocations and the old `Vec → Arc<[_]>` slice conversion each copied
@@ -340,26 +221,16 @@ pub(crate) fn materialize_stream<S: BranchStream>(
     instructions: u64,
     cap_bytes: u64,
     capacity_hint: usize,
-    ticket: Option<&JobTicket>,
 ) -> Result<Option<Arc<Vec<BranchRecord>>>, SimError> {
     let _t = telemetry::scope("workload::materialize");
-    let record_bytes = std::mem::size_of::<BranchRecord>() as u64;
-    let hint = (capacity_hint as u64).min(cap_bytes / record_bytes.max(1)) as usize;
+    let hint = (capacity_hint as u64).min(cap_bytes / RECORD_BYTES) as usize;
     let mut validator = StreamValidator::new();
     let mut records: Vec<BranchRecord> = Vec::with_capacity(hint);
     let mut generated = 0u64;
     let mut largest = 1u64;
     while generated < instructions.saturating_add(2 * largest) {
-        if (records.len() as u64 + 1) * record_bytes > cap_bytes {
+        if (records.len() as u64 + 1) * RECORD_BYTES > cap_bytes {
             return Ok(None);
-        }
-        if let Some(ticket) = ticket {
-            if records.len().is_multiple_of(GENERATION_STRIDE) {
-                ticket.bump();
-                if ticket.cancelled().is_some() {
-                    return Ok(None);
-                }
-            }
         }
         let Some(rec) = stream.next_branch() else { return Ok(None) };
         validator
@@ -376,7 +247,7 @@ pub(crate) fn materialize_stream<S: BranchStream>(
 /// each record covers its own instruction plus a uniform gap in
 /// `gap_min..=gap_max`, so the mean spacing is `1 + (gap_min + gap_max)/2`.
 /// A ~2% slack term absorbs sampling variance so the buffer almost never
-/// regrows.
+/// regrows and a trace almost never overruns its reservation.
 pub(crate) fn estimated_records(spec: &WorkloadSpec, instructions: u64) -> usize {
     let mean_gap = (u64::from(spec.gap_min) + u64::from(spec.gap_max)) / 2;
     let estimate = instructions / (1 + mean_gap).max(1);
@@ -386,6 +257,7 @@ pub(crate) fn estimated_records(spec: &WorkloadSpec, instructions: u64) -> usize
 #[cfg(test)]
 mod tests {
     use super::*;
+    use traces::{FaultClass, FaultInjector};
 
     fn tiny_spec(name: &str, seed: u64) -> WorkloadSpec {
         WorkloadSpec::new(name, seed).with_request_types(64).with_handlers(8)
@@ -393,16 +265,16 @@ mod tests {
 
     const BUDGET: u64 = 120_000;
 
-    fn ticket() -> JobTicket {
-        JobTicket::unsupervised()
+    fn reservation(spec: &WorkloadSpec) -> u64 {
+        estimated_records(spec, BUDGET) as u64 * RECORD_BYTES
     }
 
     #[test]
     fn shared_specs_materialize_once_and_hit_after() {
-        let cache = TraceCache::new(u64::MAX, BUDGET, None);
         let spec = tiny_spec("hit", 1);
-        let a = cache.acquire(&spec, 2, &ticket());
-        let b = cache.acquire(&spec, 2, &ticket());
+        let cache = TraceCache::plan([&spec, &spec], u64::MAX, BUDGET);
+        let a = cache.acquire(&spec).expect("a valid spec");
+        let b = cache.acquire(&spec).expect("a valid spec");
         let (TraceLease::Materialized(ta), TraceLease::Materialized(tb)) = (&a, &b) else {
             panic!("both claims must be materialized");
         };
@@ -414,124 +286,65 @@ mod tests {
     }
 
     #[test]
+    fn the_last_claim_releases_the_trace() {
+        let spec = tiny_spec("release", 2);
+        let cache = TraceCache::plan([&spec, &spec], u64::MAX, BUDGET);
+        let Ok(TraceLease::Materialized(first)) = cache.acquire(&spec) else {
+            panic!("materialized");
+        };
+        assert_eq!(Arc::strong_count(&first), 2, "the cache holds it for the second sharer");
+        let second = cache.acquire(&spec);
+        assert_eq!(Arc::strong_count(&first), 2, "the two cells hold it, the cache does not");
+        drop(second);
+        assert_eq!(Arc::strong_count(&first), 1);
+    }
+
+    #[test]
     fn singletons_and_zero_cap_stream_undegraded() {
-        let cache = TraceCache::new(u64::MAX, BUDGET, None);
         let spec = tiny_spec("single", 2);
-        assert!(matches!(
-            cache.acquire(&spec, 1, &ticket()),
-            TraceLease::Streamed { degraded: false }
-        ));
-        let zero = TraceCache::new(0, BUDGET, None);
-        assert!(matches!(
-            zero.acquire(&spec, 2, &ticket()),
-            TraceLease::Streamed { degraded: false }
-        ));
+        let cache = TraceCache::plan([&spec], u64::MAX, BUDGET);
+        assert!(matches!(cache.acquire(&spec), Ok(TraceLease::Streamed)));
+        let zero = TraceCache::plan([&spec, &spec], 0, BUDGET);
+        assert!(matches!(zero.acquire(&spec), Ok(TraceLease::Streamed)));
         assert_eq!(cache.stats().specs_streamed, 1);
-        assert_eq!(cache.stats().demotions, 0);
+        assert_eq!(zero.stats().specs_streamed, 1);
     }
 
     #[test]
-    fn pressure_evicts_idle_lru_entries_first() {
-        let spec_a = tiny_spec("lru-a", 3);
-        let spec_b = tiny_spec("lru-b", 4);
-        // Size the cap to one trace: admitting B must evict idle A.
-        let probe = TraceCache::new(u64::MAX, BUDGET, None);
-        let TraceLease::Materialized(trace) = probe.acquire(&spec_a, 2, &ticket()) else {
-            panic!("probe materializes");
-        };
-        let one = trace.len() as u64 * std::mem::size_of::<BranchRecord>() as u64;
-        drop(trace);
-
-        let cache = TraceCache::new(one + one / 2, BUDGET, None);
-        let lease_a = cache.acquire(&spec_a, 2, &ticket());
-        assert!(matches!(lease_a, TraceLease::Materialized(_)));
-        drop(lease_a); // A idle → evictable
-        assert!(matches!(
-            cache.acquire(&spec_b, 2, &ticket()),
-            TraceLease::Materialized(_)
-        ));
+    fn the_cap_is_reserved_in_job_order() {
+        let a = tiny_spec("order-a", 3);
+        let b = tiny_spec("order-b", 4);
+        // Room for one reservation: the spec whose first job comes first
+        // gets it, whichever cell claims first.
+        let cap = reservation(&a).max(reservation(&b)) * 3 / 2;
+        let cache = TraceCache::plan([&b, &a, &a, &b], cap, BUDGET);
+        assert!(matches!(cache.acquire(&a), Ok(TraceLease::Streamed)));
+        assert!(matches!(cache.acquire(&b), Ok(TraceLease::Materialized(_))));
         let stats = cache.stats();
-        assert_eq!(stats.evictions, 1, "idle A evicted for B");
-        assert_eq!(stats.specs_cached, 2, "both specs were cached at some point");
-        assert_eq!(stats.demotions, 0);
+        assert_eq!((stats.specs_cached, stats.specs_streamed), (1, 1));
     }
 
     #[test]
-    fn pinned_entries_demote_newcomers_to_degraded_streaming() {
-        let spec_a = tiny_spec("pin-a", 5);
-        let spec_b = tiny_spec("pin-b", 6);
-        let probe = TraceCache::new(u64::MAX, BUDGET, None);
-        let TraceLease::Materialized(trace) = probe.acquire(&spec_a, 2, &ticket()) else {
-            panic!("probe materializes");
-        };
-        let one = trace.len() as u64 * std::mem::size_of::<BranchRecord>() as u64;
-        drop(trace);
-
-        let cache = TraceCache::new(one + one / 2, BUDGET, None);
-        let lease_a = cache.acquire(&spec_a, 2, &ticket());
-        assert!(matches!(lease_a, TraceLease::Materialized(_)));
-        // A is still held (pinned): B cannot evict it and must demote.
-        assert!(matches!(
-            cache.acquire(&spec_b, 2, &ticket()),
-            TraceLease::Streamed { degraded: true }
-        ));
-        // Later claims of B stream degraded without re-generating.
-        assert!(matches!(
-            cache.acquire(&spec_b, 2, &ticket()),
-            TraceLease::Streamed { degraded: true }
-        ));
-        let stats = cache.stats();
-        assert_eq!(stats.demotions, 2);
-        assert_eq!(stats.evictions, 0);
-        drop(lease_a);
-    }
-
-    #[test]
-    fn failed_generation_is_remembered_and_streams_clean() {
+    fn failed_generation_fails_every_sharer() {
         let bad = WorkloadSpec::new("bad", 1).with_request_types(0);
-        let cache = TraceCache::new(u64::MAX, BUDGET, None);
+        let cache = TraceCache::plan([&bad, &bad], u64::MAX, BUDGET);
         for _ in 0..2 {
-            assert!(matches!(
-                cache.acquire(&bad, 2, &ticket()),
-                TraceLease::Streamed { degraded: false }
-            ));
+            match cache.acquire(&bad) {
+                Err(SimError::InvalidSpec { workload, .. }) => assert_eq!(workload, "bad"),
+                other => panic!("expected InvalidSpec, got {:?}", other.map(|_| ())),
+            }
         }
-        assert_eq!(cache.stats().specs_streamed, 1);
+        assert_eq!(cache.stats().specs_cached, 0);
     }
 
     #[test]
-    fn chaos_trace_faults_reject_the_spec_and_attribute_it() {
-        let spec = tiny_spec("chaos-trace", 7);
-        let plan = Arc::new(ChaosPlan::new(11, 1.0));
-        let cache = TraceCache::new(u64::MAX, BUDGET, Some(Arc::clone(&plan)));
-        assert!(
-            matches!(
-                cache.acquire(&spec, 2, &ticket()),
-                TraceLease::Streamed { degraded: false }
-            ),
-            "a corrupted generation must fall back to clean streaming"
-        );
-        let events = plan.take_events();
-        assert_eq!(events.len(), 1);
-        assert!(events[0].kind.starts_with("trace-"), "{:?}", events[0]);
-        assert_eq!(events[0].workload, spec.name);
-    }
-
-    #[test]
-    fn a_cancelled_ticket_aborts_generation() {
-        use crate::supervise::CancelReason;
-        let cache = TraceCache::new(u64::MAX, BUDGET, None);
-        let spec = tiny_spec("cancel", 8);
-        let t = JobTicket::new(0);
-        t.cancel(CancelReason::DeadlineExceeded);
-        assert!(matches!(
-            cache.acquire(&spec, 2, &t),
-            TraceLease::Streamed { degraded: false }
-        ));
-        // The abort decided nothing: a healthy claimant still materializes.
-        assert!(matches!(
-            cache.acquire(&spec, 2, &ticket()),
-            TraceLease::Materialized(_)
-        ));
+    fn corrupt_streams_fail_materialization_with_a_trace_error() {
+        let spec = tiny_spec("corrupt", 6);
+        let mut faulty = FaultInjector::new(ServerWorkload::new(&spec), FaultClass::Corrupt, 3);
+        let hint = estimated_records(&spec, BUDGET);
+        match materialize_stream("corrupt", &mut faulty, BUDGET, u64::MAX, hint) {
+            Err(SimError::Trace { workload, .. }) => assert_eq!(workload, "corrupt"),
+            other => panic!("expected a trace error, got {:?}", other.map(|t| t.is_some())),
+        }
     }
 }

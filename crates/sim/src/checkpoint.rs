@@ -17,10 +17,9 @@
 //! re-runs with evolving parameters — only still-identical cells are
 //! reused.
 //!
-//! Besides completed cells, the journal holds **quarantine** entries: a
-//! cell that exhausted `LLBPX_JOB_RETRIES` is recorded as quarantined, and
-//! a resume skips it with an explicit `quarantined` status instead of
-//! re-failing forever (see [`crate::supervise`]).
+//! Journals written by older engines may also hold `quarantined` lines
+//! for cells that exhausted their retries; the loader skips them, so such
+//! a cell simply runs again.
 //!
 //! What a checkpoint entry restores: every accuracy field, the second-level
 //! counter set (so figures that read [`llbpx::LlbpStats`] — prefetch
@@ -40,7 +39,7 @@ use llbpx::LlbpStats;
 use telemetry::{IntervalSample, Json};
 use workloads::WorkloadSpec;
 
-use crate::error::{JobError, SimError};
+use crate::error::SimError;
 use crate::runner::{RunResult, RunStatus, Simulation, TraceSource};
 
 /// Environment variable selecting the checkpoint journal path. Unset or
@@ -89,26 +88,20 @@ pub struct RestoredCell {
     pub storage_bits: u64,
 }
 
-/// A quarantine entry loaded from the journal.
-#[derive(Debug, Clone)]
-pub struct QuarantinedCell {
-    /// The failure message that exhausted the retries.
-    pub error: String,
-    /// How many attempts the quarantining invocation made.
-    pub attempts: u32,
+/// One parsed journal line.
+enum Line {
+    /// A completed cell, by fingerprint.
+    Completed(String, Box<RestoredCell>),
+    /// A quarantine entry from an engine that retried failed cells; there
+    /// is nothing to restore from it.
+    Quarantined,
 }
 
-enum Entry {
-    Completed(Box<RestoredCell>),
-    Quarantined(QuarantinedCell),
-}
-
-/// An open checkpoint journal: previously completed and quarantined cells
-/// indexed by fingerprint, plus an append handle for new entries.
+/// An open checkpoint journal: previously completed cells indexed by
+/// fingerprint, plus an append handle for new entries.
 pub struct Checkpoint {
     path: PathBuf,
     entries: HashMap<String, RestoredCell>,
-    quarantined: HashMap<String, QuarantinedCell>,
     file: Mutex<File>,
 }
 
@@ -120,20 +113,16 @@ impl Checkpoint {
     /// journal.
     pub fn open(path: &Path) -> Result<Self, SimError> {
         let mut entries = HashMap::new();
-        let mut quarantined = HashMap::new();
         if let Ok(text) = std::fs::read_to_string(path) {
             for (number, line) in text.lines().enumerate() {
                 if line.trim().is_empty() {
                     continue;
                 }
                 match parse_line(line) {
-                    Some((fingerprint, Entry::Completed(cell))) => {
-                        let cell = *cell;
-                        entries.insert(fingerprint, cell);
+                    Some(Line::Completed(fingerprint, cell)) => {
+                        entries.insert(fingerprint, *cell);
                     }
-                    Some((fingerprint, Entry::Quarantined(cell))) => {
-                        quarantined.insert(fingerprint, cell);
-                    }
+                    Some(Line::Quarantined) => {}
                     None => eprintln!(
                         "warning: checkpoint {}: dropping unparseable journal line {} \
                          ({} bytes; truncated by a crash mid-write?)",
@@ -147,12 +136,7 @@ impl Checkpoint {
         let file = OpenOptions::new().create(true).append(true).open(path).map_err(|e| {
             SimError::Checkpoint { path: path.to_path_buf(), detail: e.to_string() }
         })?;
-        Ok(Checkpoint {
-            path: path.to_path_buf(),
-            entries,
-            quarantined,
-            file: Mutex::new(file),
-        })
+        Ok(Checkpoint { path: path.to_path_buf(), entries, file: Mutex::new(file) })
     }
 
     /// The journal resolved from [`ENV_CHECKPOINT`], or `None` when
@@ -187,43 +171,9 @@ impl Checkpoint {
         self.entries.is_empty()
     }
 
-    /// Quarantined cells loaded from the journal.
-    pub fn quarantined_len(&self) -> usize {
-        self.quarantined.len()
-    }
-
     /// The restored cell for `fingerprint`, if the journal has one.
     pub fn lookup(&self, fingerprint: &str) -> Option<RestoredCell> {
         self.entries.get(fingerprint).cloned()
-    }
-
-    /// The quarantine entry for `fingerprint`, if an earlier invocation
-    /// exhausted its retries on this cell. A completed entry wins over a
-    /// quarantine one (a later, healthier run may have finished the cell).
-    pub fn lookup_quarantined(&self, fingerprint: &str) -> Option<QuarantinedCell> {
-        if self.entries.contains_key(fingerprint) {
-            return None;
-        }
-        self.quarantined.get(fingerprint).cloned()
-    }
-
-    /// Journals one quarantined cell: `err` exhausted its retries, and
-    /// resumes of this journal should skip the cell instead of re-failing.
-    /// Write errors warn on stderr, like [`Checkpoint::record`].
-    pub fn record_quarantine(&self, fingerprint: &str, err: &JobError) {
-        let line = Json::obj()
-            .set("v", ENTRY_VERSION)
-            .set("quarantined", true)
-            .set("fingerprint", fingerprint)
-            .set("predictor", err.predictor.as_deref().unwrap_or(""))
-            .set("workload", err.workload.as_str())
-            .set("error", err.message.as_str())
-            .set("attempts", u64::from(err.attempts))
-            .to_string();
-        let mut file = self.file.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Err(e) = file.write_all(format!("{line}\n").as_bytes()) {
-            eprintln!("warning: checkpoint {}: write failed: {e}", self.path.display());
-        }
     }
 
     /// Journals one completed cell. Failed cells are never journaled (a
@@ -272,19 +222,15 @@ fn entry_to_json(fingerprint: &str, result: &RunResult, storage_bits: u64) -> Js
         .set("llbp", llbp)
 }
 
-fn parse_line(line: &str) -> Option<(String, Entry)> {
+fn parse_line(line: &str) -> Option<Line> {
     let j = Json::parse(line.trim()).ok()?;
     if j.get("v")?.as_i64()? != ENTRY_VERSION {
         return None;
     }
-    let fingerprint = j.get("fingerprint")?.as_str()?.to_owned();
     if j.get("quarantined") == Some(&Json::Bool(true)) {
-        let cell = QuarantinedCell {
-            error: j.get("error")?.as_str()?.to_owned(),
-            attempts: j.get("attempts").and_then(Json::as_i64).unwrap_or(0) as u32,
-        };
-        return Some((fingerprint, Entry::Quarantined(cell)));
+        return Some(Line::Quarantined);
     }
+    let fingerprint = j.get("fingerprint")?.as_str()?.to_owned();
     let u = |key: &str| j.get(key).and_then(Json::as_i64).map(|v| v as u64);
     let result = RunResult {
         name: j.get("predictor")?.as_str()?.to_owned(),
@@ -303,11 +249,9 @@ fn parse_line(line: &str) -> Option<(String, Entry)> {
             _ => TraceSource::Streamed,
         },
         resumed: true,
-        degraded: false,
-        attempts: 0,
     };
     let storage_bits = u("storage_bits")?;
-    Some((fingerprint, Entry::Completed(Box::new(RestoredCell { result, storage_bits }))))
+    Some(Line::Completed(fingerprint, Box::new(RestoredCell { result, storage_bits })))
 }
 
 fn parse_intervals(j: &Json) -> Option<Vec<IntervalSample>> {
@@ -437,8 +381,9 @@ mod tests {
     fn entries_round_trip_bit_identically() {
         let result = sample_result();
         let line = entry_to_json("00ff", &result, 4096).to_string();
-        let (fp, entry) = parse_line(&line).expect("parses");
-        let Entry::Completed(cell) = entry else { panic!("a completed entry") };
+        let Some(Line::Completed(fp, cell)) = parse_line(&line) else {
+            panic!("a completed entry")
+        };
         assert_eq!(fp, "00ff");
         assert_eq!(cell.storage_bits, 4096);
         let r = &cell.result;
@@ -455,6 +400,8 @@ mod tests {
         assert_eq!(a.alloc_len_histogram, b.alloc_len_histogram);
     }
 
+    /// Also covers journals from engines that retried failed cells: their
+    /// quarantine lines are skipped, never read as completed cells.
     #[test]
     fn journal_survives_partial_and_garbage_lines() {
         let path = tmp("garbage");
@@ -462,10 +409,13 @@ mod tests {
         let result = sample_result();
         let good = entry_to_json("aaaa", &result, 1).to_string();
         let partial = &good[..good.len() / 2];
-        std::fs::write(&path, format!("{good}\nnot json at all\n{partial}")).unwrap();
+        let quarantine = r#"{"v":1,"quarantined":true,"fingerprint":"qqqq","predictor":"LLBP","workload":"NodeApp","error":"too slow","attempts":3}"#;
+        std::fs::write(&path, format!("{good}\n{quarantine}\nnot json at all\n{partial}"))
+            .unwrap();
         let cp = Checkpoint::open(&path).unwrap();
-        assert_eq!(cp.len(), 1, "only the whole line loads");
+        assert_eq!(cp.len(), 1, "only the whole completed line loads");
         assert!(cp.lookup("aaaa").is_some());
+        assert!(cp.lookup("qqqq").is_none(), "a quarantine line restores nothing");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -488,35 +438,6 @@ mod tests {
                 assert!(cp.lookup("bbbb").is_none());
             }
         }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn quarantine_entries_round_trip_and_yield_to_completions() {
-        use crate::error::{JobError, JobErrorKind};
-        let path = tmp("quarantine");
-        let _ = std::fs::remove_file(&path);
-        let err = JobError {
-            kind: JobErrorKind::TimedOut,
-            attempts: 3,
-            ..JobError::panic(1, "NodeApp", Some("LLBP".into()), None, "too slow".into())
-        };
-        {
-            let cp = Checkpoint::open(&path).unwrap();
-            cp.record_quarantine("qqqq", &err);
-        }
-        let cp = Checkpoint::open(&path).unwrap();
-        assert_eq!(cp.len(), 0, "quarantine entries are not completed cells");
-        assert_eq!(cp.quarantined_len(), 1);
-        let q = cp.lookup_quarantined("qqqq").expect("quarantine restores");
-        assert_eq!(q.error, "too slow");
-        assert_eq!(q.attempts, 3);
-        // A later, healthier invocation completes the cell: the completed
-        // entry wins and the quarantine is ignored.
-        cp.record("qqqq", &sample_result(), 9);
-        let cp = Checkpoint::open(&path).unwrap();
-        assert!(cp.lookup("qqqq").is_some());
-        assert!(cp.lookup_quarantined("qqqq").is_none());
         let _ = std::fs::remove_file(&path);
     }
 

@@ -2,7 +2,7 @@
 //!
 //! Every tunable the simulator reads from the environment
 //! (`LLBPX_THREADS`, `LLBPX_TRACE_CACHE_MB`, the `REPRO_*` budgets, the
-//! supervision and chaos knobs, ...) follows the same contract: an unset
+//! deadline and fault knobs, ...) follows the same contract: an unset
 //! variable silently uses the default, a set-but-unparsable value uses the
 //! default *and* warns on stderr — but only once per key per process,
 //! because binaries resolve some keys more than once (engine fan-out +
@@ -10,8 +10,7 @@
 //! contract.
 //!
 //! Knobs are declared as [`Knob`] statics next to the subsystem that owns
-//! them ([`crate::exec`], [`crate::supervise`], [`crate::chaos`],
-//! [`crate::runner`]), which keeps the key, the expected-value description
+//! them ([`crate::exec`], [`crate::runner`]), which keeps the key, the expected-value description
 //! and the parser in one place and makes the parsing testable without
 //! mutating the process environment (see [`Knob::resolve`]).
 
@@ -170,7 +169,7 @@ mod tests {
     #[test]
     fn every_knob_parses_valid_rejects_invalid_and_defaults_unset() {
         use crate::exec::{FaultSpec, InjectedFault};
-        use crate::{chaos, exec, runner, supervise};
+        use crate::{exec, runner};
 
         check(&exec::THREADS, "8", 8usize, "zero-ish", 3);
         check(&exec::THREADS, "1", 1usize, "0", 4);
@@ -184,9 +183,9 @@ mod tests {
         );
         check(
             &exec::FAULT_CELL,
+            "2:panic",
+            Some(FaultSpec { cell: 2, kind: InjectedFault::Panic }),
             "2:stall",
-            Some(FaultSpec { cell: 2, kind: InjectedFault::Stall }),
-            "2:bogus",
             None,
         );
         check(
@@ -197,26 +196,15 @@ mod tests {
             None,
         );
         check(
-            &supervise::JOB_TIMEOUT,
+            &exec::JOB_TIMEOUT,
             "2.5",
             Some(Duration::from_secs_f64(2.5)),
             "fast",
             None,
         );
         // `0` is a *valid* value meaning "deadline off", not a parse error.
-        check(&supervise::JOB_TIMEOUT, "0", None, "-1", Some(Duration::from_secs(9)));
-        check(
-            &supervise::STALL_TIMEOUT,
-            "1.25",
-            Some(Duration::from_secs_f64(1.25)),
-            "nan",
-            None,
-        );
-        check(&supervise::STALL_TIMEOUT, "0", None, "inf", None);
-        check(&supervise::JOB_RETRIES, "3", 3u32, "-1", 0);
-        check(&chaos::CHAOS_SEED, "42", Some(42u64), "abc", None);
-        check(&chaos::CHAOS_RATE, "0.5", 0.5f64, "1.5", 0.25);
-        check(&chaos::CHAOS_RATE, "1", 1.0f64, "-0.1", 0.25);
+        check(&exec::JOB_TIMEOUT, "0", None, "-1", Some(Duration::from_secs(9)));
+        check(&exec::JOB_TIMEOUT, "1.25", Some(Duration::from_secs_f64(1.25)), "inf", None);
         check(&runner::WARMUP, "1_000_000", 1_000_000u64, "ten", 5);
         check(&runner::MEASURE, "2_000_000", 2_000_000u64, "", 6);
     }

@@ -1,7 +1,7 @@
 //! The parallel experiment engine: fans a run matrix out over worker
-//! threads, shares materialized workload traces between runs, isolates and
-//! supervises per-cell failures, and journals completed cells to a
-//! checkpoint.
+//! threads, shares materialized workload traces between runs, isolates
+//! per-cell failures under one wall-clock deadline, and journals completed
+//! cells to a checkpoint.
 //!
 //! Every figure/table binary replays the paper's protocol as a *matrix* of
 //! `(predictor, workload)` cells. The cells are embarrassingly parallel and
@@ -13,9 +13,7 @@
 //!   back in job order, bit-identical to running them serially;
 //! * a lazily-filled shared trace cache ([`crate::cache::TraceCache`],
 //!   capped by `LLBPX_TRACE_CACHE_MB`) so every predictor on a workload
-//!   replays identical records read-only instead of re-synthesizing them,
-//!   with LRU eviction and graceful demotion to streaming under memory
-//!   pressure;
+//!   replays identical records read-only instead of re-synthesizing them;
 //! * [`run_matrix`] — the two combined.
 //!
 //! Robustness, on top of that:
@@ -23,22 +21,19 @@
 //! * **Job isolation** — each matrix cell runs under `catch_unwind`, so a
 //!   panicking cell becomes an `Err(`[`JobError`]`)` in the report instead
 //!   of aborting the whole sweep; every other cell still completes.
-//!   `LLBPX_FAULT_CELL=<index>[:panic|stall|slow]` deliberately breaks one
+//!   `LLBPX_FAULT_CELL=<index>[:panic|slow]` deliberately breaks one
 //!   cell, to exercise these paths end-to-end.
-//! * **Supervision** — with `LLBPX_JOB_TIMEOUT` / `LLBPX_STALL_TIMEOUT`
-//!   set, a watchdog thread cancels hung cells cooperatively (the runner's
-//!   hot loop heartbeats and polls at a bounded stride), reporting them as
-//!   structured timeout errors instead of wedging the sweep; transient
-//!   failures retry up to `LLBPX_JOB_RETRIES` times on a deterministic
-//!   seeded backoff, and cells that exhaust retries are quarantined in the
-//!   checkpoint journal. See [`crate::supervise`].
+//! * **Deadline** — with `LLBPX_JOB_TIMEOUT` set, each cell gets a
+//!   wall-clock deadline that the runner's hot loop compares every
+//!   [`crate::runner::HEARTBEAT_STRIDE`] records; a cell past it stops
+//!   and reports a structured timeout error instead of wedging the sweep.
+//!   Runs are deterministic, so a failed cell is not retried: it would
+//!   fail the same way again.
 //! * **Checkpoint/resume** — with `LLBPX_CHECKPOINT=<path>` set, every
 //!   completed cell is journaled (keyed by a deterministic fingerprint of
 //!   predictor config, workload spec and budgets); re-running after a
 //!   crash or kill restores journaled cells bit-identically and simulates
 //!   only the rest. See [`crate::checkpoint`].
-//! * **Chaos** — `LLBPX_CHAOS_SEED` turns on seeded fault injection across
-//!   all of the above. See [`crate::chaos`].
 //!
 //! Telemetry stays correct under concurrency because every per-run source
 //! is job-local: the scope profiler is thread-local and snapshotted around
@@ -58,16 +53,11 @@ use workloads::{ServerWorkload, WorkloadSpec};
 
 pub use crate::cache::{TraceCacheStats, TraceLease};
 use crate::cache::TraceCache;
-use crate::chaos::{ChaosEvent, ChaosFault, ChaosPlan, ChaosReport};
 use crate::checkpoint::{self, Checkpoint};
 use crate::env::Knob;
 use crate::error::{panic_message, JobError, JobErrorKind, SimError};
 use crate::predictor::SimPredictor;
 use crate::runner::{RunResult, Simulation, TraceSource};
-use crate::supervise::{
-    retry_backoff, CancelReason, Cancelled, JobTicket, SuperviseConfig, Watchdog,
-    ENV_JOB_TIMEOUT, ENV_STALL_TIMEOUT,
-};
 
 /// Environment variable selecting the worker count (default: available
 /// parallelism).
@@ -78,13 +68,16 @@ pub const ENV_THREADS: &str = "LLBPX_THREADS";
 pub const ENV_TRACE_CACHE_MB: &str = "LLBPX_TRACE_CACHE_MB";
 
 /// Environment variable naming one zero-based matrix cell to deliberately
-/// break, for exercising the failure-isolation and supervision paths
+/// break, for exercising the failure-isolation and deadline paths
 /// end-to-end (tests, `scripts/verify.sh`). `<index>` alone panics the
-/// cell; `<index>:panic|stall|slow` selects the failure mode — `stall`
-/// hangs without heartbeat progress (caught by `LLBPX_STALL_TIMEOUT`),
-/// `slow` keeps beating but never finishes (caught by
-/// `LLBPX_JOB_TIMEOUT`).
+/// cell; `<index>:panic|slow` selects the failure mode — `slow` hangs
+/// until the `LLBPX_JOB_TIMEOUT` deadline ends it (and panics instead when
+/// no deadline is set, so it cannot hang the sweep).
 pub const ENV_FAULT_CELL: &str = "LLBPX_FAULT_CELL";
+
+/// Environment variable: wall-clock deadline per matrix cell, in seconds
+/// (fractional allowed; `0` disables the deadline).
+pub const ENV_JOB_TIMEOUT: &str = "LLBPX_JOB_TIMEOUT";
 
 /// Default trace-cache cap: 3 GiB covers the 14-preset matrix at the
 /// laptop-scale default budgets; paper-scale budgets overflow it and
@@ -96,21 +89,8 @@ pub const DEFAULT_TRACE_CACHE_MB: u64 = 3072;
 pub enum InjectedFault {
     /// Panic inside the run.
     Panic,
-    /// Hang with no heartbeat progress until the watchdog cancels it.
-    Stall,
-    /// Keep heartbeating but never finish, until the deadline cancels it.
+    /// Hang until the cell's deadline passes.
     Slow,
-}
-
-impl InjectedFault {
-    /// The `LLBPX_FAULT_CELL` kind suffix.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            InjectedFault::Panic => "panic",
-            InjectedFault::Stall => "stall",
-            InjectedFault::Slow => "slow",
-        }
-    }
 }
 
 /// One deliberately-broken matrix cell, from [`ENV_FAULT_CELL`].
@@ -138,11 +118,18 @@ fn parse_fault(raw: &str) -> Option<Option<FaultSpec>> {
     let cell = cell.trim().parse::<usize>().ok()?;
     let kind = match kind.trim() {
         "panic" => InjectedFault::Panic,
-        "stall" => InjectedFault::Stall,
         "slow" => InjectedFault::Slow,
         _ => return None,
     };
     Some(Some(FaultSpec { cell, kind }))
+}
+
+fn parse_timeout(raw: &str) -> Option<Option<Duration>> {
+    let secs: f64 = raw.parse().ok()?;
+    if !secs.is_finite() || secs < 0.0 {
+        return None;
+    }
+    Some((secs > 0.0).then(|| Duration::from_secs_f64(secs)))
 }
 
 /// [`ENV_THREADS`] knob.
@@ -164,9 +151,17 @@ pub static TRACE_CACHE_MB: Knob<u64> = Knob::new(
 /// [`ENV_FAULT_CELL`] knob.
 pub static FAULT_CELL: Knob<Option<FaultSpec>> = Knob::new(
     ENV_FAULT_CELL,
-    "a zero-based cell index with an optional :panic|:stall|:slow kind",
+    "a zero-based cell index with an optional :panic|:slow kind",
     "ignoring it",
     parse_fault,
+);
+
+/// [`ENV_JOB_TIMEOUT`] knob.
+pub static JOB_TIMEOUT: Knob<Option<Duration>> = Knob::new(
+    ENV_JOB_TIMEOUT,
+    "a non-negative number of seconds (0 disables the deadline)",
+    "leaving the deadline off",
+    parse_timeout,
 );
 
 /// The worker count: `LLBPX_THREADS` if set to a positive integer,
@@ -188,6 +183,11 @@ pub fn trace_cache_bytes_from_env() -> u64 {
 /// The deliberately-broken cell from [`ENV_FAULT_CELL`], if any.
 pub fn fault_from_env() -> Option<FaultSpec> {
     FAULT_CELL.get(|| None)
+}
+
+/// The per-cell deadline from [`ENV_JOB_TIMEOUT`], if any.
+pub fn job_timeout_from_env() -> Option<Duration> {
+    JOB_TIMEOUT.get(|| None)
 }
 
 /// A boxed unit of work for [`run_jobs`].
@@ -272,7 +272,7 @@ pub fn try_materialize(
     let mut stream = ServerWorkload::try_new(spec)
         .map_err(|reason| SimError::InvalidSpec { workload: spec.name.clone(), reason })?;
     let hint = crate::cache::estimated_records(spec, instructions);
-    crate::cache::materialize_stream(&spec.name, &mut stream, instructions, cap_bytes, hint, None)
+    crate::cache::materialize_stream(&spec.name, &mut stream, instructions, cap_bytes, hint)
 }
 
 /// [`try_materialize`], panicking on invalid specs or corrupt streams.
@@ -286,8 +286,7 @@ pub fn materialize(
 
 /// One cell of a run matrix: a predictor factory plus the workload it runs
 /// on. The factory executes on the worker thread that claims the job, so
-/// predictors never cross threads; it is re-invoked on every retry
-/// (`LLBPX_JOB_RETRIES`), so each attempt starts from a fresh predictor.
+/// predictors never cross threads.
 pub struct MatrixJob<'a> {
     /// Builds the predictor (and may run arbitrary setup, e.g. oracle
     /// training) on the worker thread.
@@ -320,17 +319,15 @@ pub struct MatrixOutput {
 /// bookkeeping for the coordinator's telemetry record.
 pub struct MatrixReport {
     /// Per-job outcomes, in the order the jobs were submitted. A cell that
-    /// panicked, timed out or was quarantined is an `Err` carrying the
-    /// structured error; every other cell completed normally.
+    /// failed or timed out is an `Err` carrying the structured error;
+    /// every other cell completed normally.
     pub outputs: Vec<Result<MatrixOutput, JobError>>,
     /// Worker threads actually used.
     pub threads: usize,
     /// Shared-trace cache behavior.
     pub cache: TraceCacheStats,
-    /// The supervision configuration the matrix ran under.
-    pub supervise: SuperviseConfig,
-    /// Chaos attribution, when the matrix ran under a chaos plan.
-    pub chaos: Option<ChaosReport>,
+    /// The per-cell deadline the matrix ran under.
+    pub job_timeout: Option<Duration>,
 }
 
 impl MatrixReport {
@@ -339,41 +336,14 @@ impl MatrixReport {
         self.outputs.iter().filter_map(|o| o.as_ref().err())
     }
 
-    /// How many cells failed (panicked, timed out, or quarantined).
+    /// How many cells failed (panicked or timed out).
     pub fn failed_cells(&self) -> usize {
         self.failures().count()
     }
 
-    /// How many cells were cancelled by the watchdog.
+    /// How many cells passed their deadline.
     pub fn timed_out_cells(&self) -> usize {
-        self.failures()
-            .filter(|e| matches!(e.kind, JobErrorKind::TimedOut | JobErrorKind::Stalled))
-            .count()
-    }
-
-    /// How many cells were skipped because the journal quarantines them.
-    pub fn quarantined_cells(&self) -> usize {
-        self.failures().filter(|e| e.kind == JobErrorKind::Quarantined).count()
-    }
-
-    /// How many cells needed more than one attempt (successful or not).
-    pub fn retried_cells(&self) -> usize {
-        self.outputs
-            .iter()
-            .filter(|o| match o {
-                Ok(out) => out.result.attempts >= 2,
-                Err(err) => err.attempts >= 2,
-            })
-            .count()
-    }
-
-    /// How many completed cells were demoted to streaming under memory
-    /// pressure.
-    pub fn degraded_cells(&self) -> usize {
-        self.outputs
-            .iter()
-            .filter(|o| matches!(o, Ok(out) if out.result.degraded))
-            .count()
+        self.failures().filter(|e| e.kind == JobErrorKind::TimedOut).count()
     }
 
     /// How many cells were restored from the checkpoint journal instead of
@@ -389,7 +359,7 @@ impl MatrixReport {
 /// Everything that shapes how a matrix executes, beyond the jobs
 /// themselves. [`EngineOptions::from_env`] reads the whole knob set;
 /// [`EngineOptions::basic`] is the bare engine (no checkpoint, no faults,
-/// no supervision) for tests and library callers.
+/// no deadline) for tests and library callers.
 pub struct EngineOptions {
     /// Worker threads.
     pub threads: usize,
@@ -399,10 +369,8 @@ pub struct EngineOptions {
     pub checkpoint: Option<Arc<Checkpoint>>,
     /// One deliberately-broken cell, if any ([`ENV_FAULT_CELL`]).
     pub fault: Option<FaultSpec>,
-    /// Deadlines, stall detection and retries.
-    pub supervise: SuperviseConfig,
-    /// Seeded chaos injection, if any.
-    pub chaos: Option<Arc<ChaosPlan>>,
+    /// Wall-clock deadline per cell, if any ([`ENV_JOB_TIMEOUT`]).
+    pub job_timeout: Option<Duration>,
 }
 
 impl EngineOptions {
@@ -414,23 +382,20 @@ impl EngineOptions {
             cap_bytes,
             checkpoint: None,
             fault: None,
-            supervise: SuperviseConfig::default(),
-            chaos: None,
+            job_timeout: None,
         }
     }
 
     /// The full environment-driven configuration: `LLBPX_THREADS`,
-    /// `LLBPX_TRACE_CACHE_MB`, `LLBPX_CHECKPOINT`, `LLBPX_FAULT_CELL`,
-    /// `LLBPX_JOB_TIMEOUT` / `LLBPX_STALL_TIMEOUT` / `LLBPX_JOB_RETRIES`,
-    /// and `LLBPX_CHAOS_SEED` / `LLBPX_CHAOS_RATE`.
+    /// `LLBPX_TRACE_CACHE_MB`, `LLBPX_CHECKPOINT`, `LLBPX_FAULT_CELL` and
+    /// `LLBPX_JOB_TIMEOUT`.
     pub fn from_env() -> Self {
         EngineOptions {
             threads: threads_from_env(),
             cap_bytes: trace_cache_bytes_from_env(),
             checkpoint: Checkpoint::from_env().map(Arc::new),
             fault: fault_from_env(),
-            supervise: SuperviseConfig::from_env(),
-            chaos: ChaosPlan::from_env().map(Arc::new),
+            job_timeout: job_timeout_from_env(),
         }
     }
 }
@@ -442,7 +407,7 @@ pub fn run_matrix(sim: &Simulation, jobs: Vec<MatrixJob<'_>>) -> MatrixReport {
 }
 
 /// Runs a matrix with explicit thread count and cache cap, no checkpoint,
-/// no fault injection and no supervision. See [`run_matrix_opts`].
+/// no fault injection and no deadline. See [`run_matrix_opts`].
 pub fn run_matrix_with(
     sim: &Simulation,
     jobs: Vec<MatrixJob<'_>>,
@@ -452,329 +417,111 @@ pub fn run_matrix_with(
     run_matrix_opts(sim, jobs, EngineOptions::basic(threads, cap_bytes))
 }
 
-/// A stall or slow fault that nothing would ever cancel must not hang the
-/// sweep; after this long it panics instead (which the cell isolation
-/// catches).
-const INJECTED_FAULT_FAILSAFE: Duration = Duration::from_secs(120);
-
-/// What one attempt at one cell has injected into it.
-#[derive(Debug, Clone, Copy, Default)]
-struct AttemptFaults {
-    /// Break the run itself (panic / stall / slow).
-    delay: Option<InjectedFault>,
-    /// Pretend the checkpoint write failed for this cell.
-    drop_checkpoint: bool,
-    /// Force this cell off the trace cache onto degraded streaming.
-    cache_pressure: bool,
-}
-
 /// Shared per-matrix context the cell runner needs.
 struct MatrixContext<'e> {
     sim: Simulation,
-    checkpoint: Option<Arc<Checkpoint>>,
+    checkpoint: Option<&'e Checkpoint>,
     fault: Option<FaultSpec>,
-    chaos: Option<Arc<ChaosPlan>>,
-    supervise: SuperviseConfig,
+    job_timeout: Option<Duration>,
     cache: &'e TraceCache,
-    watchdog: Option<&'e Watchdog>,
 }
 
-impl MatrixContext<'_> {
-    /// Resolves the faults injected into `(index, attempt)` — from the
-    /// explicit `LLBPX_FAULT_CELL` (which hits every attempt, so retries
-    /// of it exhaust deterministically) or the chaos plan — and records
-    /// chaos attribution. Stall/slow faults that no configured watchdog
-    /// could ever cancel are downgraded to panics so they cannot hang the
-    /// sweep.
-    fn faults_for(&self, index: usize, attempt: u32, workload: &str) -> AttemptFaults {
-        let mut faults = AttemptFaults::default();
-        if let Some(fault) = self.fault {
-            if fault.cell == index {
-                faults.delay = Some(self.downgrade(fault.kind));
-                return faults;
-            }
-        }
-        let Some(chaos) = self.chaos.as_deref() else { return faults };
-        let Some(injected) = chaos.cell_fault(index, attempt) else { return faults };
-        let mut outcome = "injected";
-        match injected {
-            ChaosFault::Panic => faults.delay = Some(InjectedFault::Panic),
-            ChaosFault::Stall => {
-                faults.delay = Some(self.downgrade(InjectedFault::Stall));
-                if faults.delay == Some(InjectedFault::Panic) {
-                    outcome = "downgraded-to-panic";
-                }
-            }
-            ChaosFault::Slow => {
-                faults.delay = Some(self.downgrade(InjectedFault::Slow));
-                if faults.delay == Some(InjectedFault::Panic) {
-                    outcome = "downgraded-to-panic";
-                }
-            }
-            ChaosFault::CheckpointDrop => {
-                faults.drop_checkpoint = true;
-                if self.checkpoint.is_none() {
-                    outcome = "no-checkpoint";
-                }
-            }
-            ChaosFault::CachePressure => faults.cache_pressure = true,
-        }
-        chaos.record(ChaosEvent {
-            cell: Some(index),
-            attempt,
-            workload: workload.to_owned(),
-            kind: injected.label().to_owned(),
-            outcome: outcome.to_owned(),
-        });
-        faults
-    }
-
-    /// A stall needs *some* watchdog window; a slow fault specifically
-    /// needs the wall-clock deadline (its heartbeat keeps the stall
-    /// detector quiet). Without one, inject a panic instead.
-    fn downgrade(&self, kind: InjectedFault) -> InjectedFault {
-        match kind {
-            InjectedFault::Stall if !self.supervise.watched() => InjectedFault::Panic,
-            InjectedFault::Slow if self.supervise.job_timeout.is_none() => {
-                InjectedFault::Panic
-            }
-            kind => kind,
-        }
-    }
-
-    /// Renders a watchdog cancellation as the cell's error message.
-    fn cancel_message(&self, cancelled: Cancelled) -> String {
-        match cancelled.reason {
-            CancelReason::DeadlineExceeded => format!(
-                "cancelled by the watchdog: exceeded the {:.3}s wall-clock deadline \
-                 ({ENV_JOB_TIMEOUT}) after {} simulated instructions",
-                self.supervise.job_timeout.unwrap_or_default().as_secs_f64(),
-                cancelled.instructions,
-            ),
-            CancelReason::Stalled => format!(
-                "cancelled by the watchdog: no heartbeat progress for {:.3}s \
-                 ({ENV_STALL_TIMEOUT}) after {} simulated instructions",
-                self.supervise.stall_timeout.unwrap_or_default().as_secs_f64(),
-                cancelled.instructions,
-            ),
-        }
-    }
-}
-
-/// Parks without heartbeat progress until the watchdog cancels the ticket.
-fn stall_until_cancelled(ticket: &JobTicket) -> Cancelled {
-    let started = Instant::now();
-    loop {
-        if let Some(reason) = ticket.cancelled() {
-            return Cancelled { reason, instructions: 0 };
-        }
-        if started.elapsed() > INJECTED_FAULT_FAILSAFE {
-            panic!("injected stall was never cancelled; is a watchdog configured?");
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-}
-
-/// Keeps heartbeating (so the stall detector stays quiet) but never
-/// finishes, until the wall-clock deadline cancels the ticket.
-fn crawl_until_cancelled(ticket: &JobTicket) -> Cancelled {
-    let started = Instant::now();
-    loop {
-        ticket.bump();
-        if let Some(reason) = ticket.cancelled() {
-            return Cancelled { reason, instructions: 0 };
-        }
-        if started.elapsed() > INJECTED_FAULT_FAILSAFE {
-            panic!("injected slow cell was never cancelled; is a deadline configured?");
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-}
-
-/// One attempt at one cell: build the predictor, consult the journal,
-/// claim the trace, run under `catch_unwind` and supervision, journal the
-/// completion.
-fn run_cell_once(
+/// One cell: build the predictor, consult the journal, claim the trace,
+/// run under `catch_unwind` and the deadline, journal the completion.
+fn run_cell(
     ctx: &MatrixContext<'_>,
     index: usize,
     factory: &(dyn Fn() -> Box<dyn SimPredictor> + Send),
     spec: &WorkloadSpec,
-    sharers: usize,
-    attempt: u32,
 ) -> Result<MatrixOutput, JobError> {
     let mut predictor = match std::panic::catch_unwind(AssertUnwindSafe(factory)) {
         Ok(predictor) => predictor,
         Err(payload) => {
-            return Err(JobError::panic(
-                index,
-                &spec.name,
-                None,
-                None,
-                panic_message(payload),
-            ))
+            return Err(JobError::panic(index, &spec.name, None, None, panic_message(payload)))
         }
     };
     let name = predictor.name();
     let storage_bits = predictor.storage_bits();
     let fingerprint =
         checkpoint::job_fingerprint(index, &name, storage_bits, spec, &ctx.sim);
-    if let Some(cell) = ctx.checkpoint.as_deref().and_then(|cp| cp.lookup(&fingerprint)) {
+    if let Some(cell) = ctx.checkpoint.and_then(|cp| cp.lookup(&fingerprint)) {
         return Ok(MatrixOutput { result: cell.result, storage_bits: cell.storage_bits });
     }
-    if let Some(q) =
-        ctx.checkpoint.as_deref().and_then(|cp| cp.lookup_quarantined(&fingerprint))
-    {
-        return Err(JobError {
-            index,
-            workload: spec.name.clone(),
-            predictor: Some(name),
-            fingerprint: Some(fingerprint),
-            message: format!(
-                "quarantined by an earlier invocation after {} attempts: {}",
-                q.attempts, q.error
-            ),
-            kind: JobErrorKind::Quarantined,
-            attempts: 0,
-        });
-    }
 
-    // Resolved only after the journal lookups: a restored or quarantined
-    // cell never ran, so it takes (and attributes) no injection.
-    let faults = ctx.faults_for(index, attempt, &spec.name);
-    let ticket = Arc::new(JobTicket::new(index));
-    let _guard = ctx.watchdog.map(|w| w.watch(Arc::clone(&ticket)));
+    let deadline = ctx.job_timeout.map(|timeout| Instant::now() + timeout);
+    let timed_out = |instructions: u64| {
+        let timeout = ctx.job_timeout.unwrap_or_default().as_secs_f64();
+        let message = format!(
+            "exceeded the {timeout:.3}s wall-clock deadline ({ENV_JOB_TIMEOUT}) \
+             after {instructions} simulated instructions"
+        );
+        (JobErrorKind::TimedOut, message)
+    };
+    let failed = |e: SimError| (JobErrorKind::Panic, e.to_string());
     let run = std::panic::catch_unwind(AssertUnwindSafe(
-        || -> Result<RunResult, Cancelled> {
-            match faults.delay {
-                Some(InjectedFault::Panic) => panic!(
-                    "deliberate fault injected into cell {index} \
-                     (see {ENV_FAULT_CELL} / chaos)"
-                ),
-                Some(InjectedFault::Stall) => return Err(stall_until_cancelled(&ticket)),
-                Some(InjectedFault::Slow) => return Err(crawl_until_cancelled(&ticket)),
-                None => {}
+        || -> Result<RunResult, (JobErrorKind, String)> {
+            if let Some(fault) = ctx.fault.filter(|f| f.cell == index) {
+                match (fault.kind, deadline) {
+                    (InjectedFault::Slow, Some(deadline)) => {
+                        std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
+                        return Err(timed_out(0));
+                    }
+                    // A slow cell without a deadline to end it panics
+                    // instead of hanging the sweep.
+                    _ => panic!(
+                        "deliberate fault injected into cell {index} (see {ENV_FAULT_CELL})"
+                    ),
+                }
             }
-            let lease = if faults.cache_pressure {
-                TraceLease::Streamed { degraded: true }
-            } else {
-                ctx.cache.acquire(spec, sharers, &ticket)
-            };
-            if let Some(reason) = ticket.cancelled() {
-                return Err(Cancelled { reason, instructions: 0 });
-            }
-            match lease {
+            let (run, source) = match ctx.cache.acquire(spec).map_err(failed)? {
                 TraceLease::Materialized(records) => {
                     let mut replay = SharedTrace::new(records);
-                    let mut result = ctx.sim.run_stream_watched(
+                    let run = ctx.sim.run_stream_until(
                         predictor.as_mut(),
                         &mut replay,
                         &spec.name,
-                        &ticket,
-                    )?;
-                    result.trace_source = TraceSource::Materialized;
-                    Ok(result)
-                }
-                TraceLease::Streamed { degraded } => {
-                    let mut stream = ServerWorkload::try_new(spec).unwrap_or_else(
-                        |reason| {
-                            panic!(
-                                "{}",
-                                SimError::InvalidSpec {
-                                    workload: spec.name.clone(),
-                                    reason
-                                }
-                            )
-                        },
+                        deadline,
                     );
-                    let mut result = ctx.sim.run_stream_watched(
+                    (run, TraceSource::Materialized)
+                }
+                TraceLease::Streamed => {
+                    let mut stream = ServerWorkload::try_new(spec)
+                        .map_err(|reason| failed(SimError::InvalidSpec {
+                            workload: spec.name.clone(),
+                            reason,
+                        }))?;
+                    let run = ctx.sim.run_stream_until(
                         predictor.as_mut(),
                         &mut stream,
                         &spec.name,
-                        &ticket,
-                    )?;
-                    result.trace_source = TraceSource::Streamed;
-                    result.degraded = degraded;
-                    Ok(result)
+                        deadline,
+                    );
+                    (run, TraceSource::Streamed)
                 }
-            }
+            };
+            let mut result = run.map_err(|exceeded| timed_out(exceeded.instructions))?;
+            result.trace_source = source;
+            Ok(result)
         },
     ));
-    match run {
+    let (kind, message) = match run {
         Ok(Ok(result)) => {
-            if let Some(cp) = ctx.checkpoint.as_deref() {
-                if !faults.drop_checkpoint {
-                    cp.record(&fingerprint, &result, storage_bits);
-                }
+            if let Some(cp) = ctx.checkpoint {
+                cp.record(&fingerprint, &result, storage_bits);
             }
-            Ok(MatrixOutput { result, storage_bits })
+            return Ok(MatrixOutput { result, storage_bits });
         }
-        Ok(Err(cancelled)) => Err(JobError {
-            index,
-            workload: spec.name.clone(),
-            predictor: Some(name),
-            fingerprint: Some(fingerprint),
-            message: ctx.cancel_message(cancelled),
-            kind: match cancelled.reason {
-                CancelReason::DeadlineExceeded => JobErrorKind::TimedOut,
-                CancelReason::Stalled => JobErrorKind::Stalled,
-            },
-            attempts: 1,
-        }),
-        Err(payload) => Err(JobError::panic(
-            index,
-            &spec.name,
-            Some(name),
-            Some(fingerprint),
-            panic_message(payload),
-        )),
-    }
-}
-
-/// The per-cell retry loop around [`run_cell_once`]: transient failures
-/// (panics, timeouts) retry up to `LLBPX_JOB_RETRIES` times on the
-/// deterministic backoff schedule; a cell that exhausts its retries is
-/// quarantined in the journal (when both retries and a checkpoint are
-/// configured) so resumes skip it.
-fn run_cell_supervised(
-    ctx: &MatrixContext<'_>,
-    index: usize,
-    factory: &(dyn Fn() -> Box<dyn SimPredictor> + Send),
-    spec: &WorkloadSpec,
-    sharers: usize,
-) -> Result<MatrixOutput, JobError> {
-    let retries = ctx.supervise.retries;
-    let backoff_seed =
-        ctx.chaos.as_deref().map_or(0x5EED_0BAC_C0FFu64, ChaosPlan::seed);
-    let mut attempt = 0u32;
-    loop {
-        match run_cell_once(ctx, index, factory, spec, sharers, attempt) {
-            Ok(mut out) => {
-                if !out.result.resumed {
-                    out.result.attempts = attempt + 1;
-                }
-                return Ok(out);
-            }
-            Err(mut err) => {
-                if err.kind == JobErrorKind::Quarantined {
-                    return Err(err);
-                }
-                err.attempts = attempt + 1;
-                if attempt < retries {
-                    std::thread::sleep(retry_backoff(backoff_seed, index, attempt));
-                    attempt += 1;
-                    continue;
-                }
-                if retries > 0 {
-                    if let (Some(cp), Some(fp)) =
-                        (ctx.checkpoint.as_deref(), err.fingerprint.as_deref())
-                    {
-                        cp.record_quarantine(fp, &err);
-                    }
-                }
-                return Err(err);
-            }
-        }
-    }
+        Ok(Err(failure)) => failure,
+        Err(payload) => (JobErrorKind::Panic, panic_message(payload)),
+    };
+    Err(JobError {
+        index,
+        workload: spec.name.clone(),
+        predictor: Some(name),
+        fingerprint: Some(fingerprint),
+        message,
+        kind,
+    })
 }
 
 /// Runs every `(predictor factory, workload)` job under `sim`, fanning out
@@ -783,70 +530,52 @@ fn run_cell_supervised(
 /// serially via [`Simulation::run`].
 ///
 /// Each distinct spec shared by two or more jobs is materialized lazily
-/// into the shared trace cache (within `opts.cap_bytes` across all specs,
-/// with LRU eviction and graceful demotion to degraded streaming — see
-/// [`crate::cache::TraceCache`]) and replayed read-only by every job on
-/// that workload; single-job specs stream from the generator exactly as
-/// the serial path does. Both paths produce the same records in the same
-/// order, so accuracy never depends on which one ran — the one that did is
-/// attributed per run in [`RunResult::trace_source`] and
-/// [`RunResult::degraded`].
+/// into the shared trace cache when it fits what is left of
+/// `opts.cap_bytes` (see [`crate::cache::TraceCache`]) and replayed
+/// read-only by every job on that workload; every other spec streams from
+/// the generator exactly as the serial path does. Both paths produce the
+/// same records in the same order, so accuracy never depends on which one
+/// ran — the one that did is attributed per run in
+/// [`RunResult::trace_source`].
 ///
-/// Each cell runs under `catch_unwind` and (when configured) the
-/// watchdog/retry supervision of [`crate::supervise`]; failures of any
-/// kind yield `Err(JobError)` for that cell and every other cell still
-/// completes. With a checkpoint, completed cells are journaled under their
-/// deterministic fingerprint and cells already in the journal are restored
-/// (marked `resumed`) or skipped (`quarantined`) instead of simulated.
+/// Each cell runs under `catch_unwind` and, when `opts.job_timeout` is
+/// set, a wall-clock deadline; a failure of either kind yields
+/// `Err(JobError)` for that cell and every other cell still completes.
+/// With a checkpoint, completed cells are journaled under their
+/// deterministic fingerprint and cells already in the journal are
+/// restored (marked `resumed`) instead of simulated.
 pub fn run_matrix_opts(
     sim: &Simulation,
     jobs: Vec<MatrixJob<'_>>,
     opts: EngineOptions,
 ) -> MatrixReport {
     let budget = sim.warmup_instructions.saturating_add(sim.measure_instructions);
-    let cache = TraceCache::new(opts.cap_bytes, budget, opts.chaos.clone());
-    let watchdog = opts.supervise.watched().then(|| Watchdog::spawn(opts.supervise));
-    let sharers: Vec<usize> = jobs
-        .iter()
-        .map(|job| jobs.iter().filter(|j| j.spec == job.spec).count())
-        .collect();
-
+    let cache = TraceCache::plan(jobs.iter().map(|job| &job.spec), opts.cap_bytes, budget);
     let n = jobs.len();
     let ctx = MatrixContext {
         sim: *sim,
-        checkpoint: opts.checkpoint.clone(),
+        checkpoint: opts.checkpoint.as_deref(),
         fault: opts.fault,
-        chaos: opts.chaos.clone(),
-        supervise: opts.supervise,
+        job_timeout: opts.job_timeout,
         cache: &cache,
-        watchdog: watchdog.as_ref(),
     };
     let boxed: Vec<BoxedJob<'_, Result<MatrixOutput, JobError>>> = jobs
         .into_iter()
-        .zip(&sharers)
         .enumerate()
-        .map(|(index, (job, &sharers))| {
+        .map(|(index, MatrixJob { factory, spec })| {
             let ctx = &ctx;
-            let MatrixJob { factory, spec } = job;
-            Box::new(move || {
-                run_cell_supervised(ctx, index, factory.as_ref(), &spec, sharers)
-            }) as BoxedJob<'_, Result<MatrixOutput, JobError>>
+            Box::new(move || run_cell(ctx, index, factory.as_ref(), &spec))
+                as BoxedJob<'_, Result<MatrixOutput, JobError>>
         })
         .collect();
 
     let used_threads = opts.threads.max(1).min(n.max(1));
     let outputs = run_jobs_with(opts.threads, boxed);
-    let chaos = opts.chaos.as_deref().map(|plan| ChaosReport {
-        seed: plan.seed(),
-        rate: plan.rate(),
-        events: plan.take_events(),
-    });
     MatrixReport {
         outputs,
         threads: used_threads,
         cache: cache.stats(),
-        supervise: opts.supervise,
-        chaos,
+        job_timeout: opts.job_timeout,
     }
 }
 
@@ -940,10 +669,6 @@ mod tests {
             Some(Some(FaultSpec { cell: 3, kind: InjectedFault::Panic }))
         );
         assert_eq!(
-            parse_fault("2:stall"),
-            Some(Some(FaultSpec { cell: 2, kind: InjectedFault::Stall }))
-        );
-        assert_eq!(
             parse_fault("0:slow"),
             Some(Some(FaultSpec { cell: 0, kind: InjectedFault::Slow }))
         );
@@ -951,7 +676,7 @@ mod tests {
             parse_fault("1:panic"),
             Some(Some(FaultSpec { cell: 1, kind: InjectedFault::Panic }))
         );
-        for bad in ["", "x", "-1", "2:bogus", ":stall", "stall:2"] {
+        for bad in ["", "x", "-1", "2:bogus", "2:stall", ":slow", "slow:2"] {
             assert_eq!(parse_fault(bad), None, "{bad:?} must be rejected");
         }
     }
@@ -1013,8 +738,6 @@ mod tests {
                     };
                     assert_eq!(parallel.result.trace_source, expected);
                     assert!(!parallel.result.resumed);
-                    assert!(!parallel.result.degraded, "no memory pressure here");
-                    assert_eq!(parallel.result.attempts, 1);
                 }
                 if cap == u64::MAX {
                     assert_eq!(report.cache.specs_cached, 2);
@@ -1022,8 +745,6 @@ mod tests {
                     assert_eq!(report.cache.specs_cached, 0);
                     assert_eq!(report.cache.specs_streamed, 2);
                 }
-                assert_eq!(report.retried_cells(), 0);
-                assert!(report.chaos.is_none());
             }
         }
     }
@@ -1179,179 +900,77 @@ mod tests {
     }
 
     #[test]
-    fn stalled_cell_is_cancelled_and_reported_as_a_timeout() {
+    fn slow_cell_hits_the_wall_clock_deadline() {
         let sim = tiny_sim();
-        let specs = [tiny_spec("stall", 19)];
-        let supervise = SuperviseConfig {
-            job_timeout: Some(Duration::from_secs(30)),
-            stall_timeout: Some(Duration::from_millis(250)),
-            retries: 0,
-        };
+        let spec = tiny_spec("slow", 23);
+        let tsl = || Box::new(TageScl::new(TslConfig::kilobytes(64))) as Box<dyn SimPredictor>;
+        let jobs = vec![MatrixJob::new(tsl, &spec), MatrixJob::new(tsl, &spec)];
+        // Each cell's deadline counts from its own start; the healthy TSL
+        // cell needs a small fraction of it even in an unoptimized build.
+        let timeout = Duration::from_secs(2);
         let opts = EngineOptions {
-            fault: Some(FaultSpec { cell: 1, kind: InjectedFault::Stall }),
-            supervise,
-            ..EngineOptions::basic(2, u64::MAX)
+            fault: Some(FaultSpec { cell: 0, kind: InjectedFault::Slow }),
+            job_timeout: Some(timeout),
+            ..EngineOptions::basic(1, u64::MAX)
         };
         let started = Instant::now();
-        let report = run_matrix_opts(&sim, standard_jobs(&specs), opts);
-        assert!(
-            started.elapsed() < Duration::from_secs(20),
-            "the stall must be cancelled well before the failsafe"
-        );
-        assert_eq!(report.failed_cells(), 1);
+        let report = run_matrix_opts(&sim, jobs, opts);
+        assert!(started.elapsed() >= timeout, "it hangs until the deadline");
         assert_eq!(report.timed_out_cells(), 1);
-        let err = report.outputs[1].as_ref().expect_err("the stalled cell");
-        assert_eq!(err.kind, JobErrorKind::Stalled);
+        let err = report.outputs[0].as_ref().expect_err("the slow cell");
+        assert_eq!(err.kind, JobErrorKind::TimedOut);
         assert_eq!(err.kind.status(), "timeout");
-        assert!(err.message.contains(ENV_STALL_TIMEOUT), "{}", err.message);
-        assert!(report.outputs[0].is_ok(), "the healthy cell still completes");
+        assert!(err.message.contains(ENV_JOB_TIMEOUT), "{}", err.message);
+        assert!(report.outputs[1].is_ok(), "the healthy cell still completes");
     }
 
     #[test]
-    fn slow_cell_hits_the_wall_clock_deadline() {
+    fn a_running_cell_stops_at_its_deadline() {
         let sim = tiny_sim();
-        let specs = [tiny_spec("slow", 23)];
-        let supervise = SuperviseConfig {
-            job_timeout: Some(Duration::from_millis(400)),
-            stall_timeout: None,
-            retries: 0,
-        };
+        let specs = [tiny_spec("deadline", 29)];
         let opts = EngineOptions {
-            fault: Some(FaultSpec { cell: 0, kind: InjectedFault::Slow }),
-            supervise,
-            ..EngineOptions::basic(1, u64::MAX)
+            job_timeout: Some(Duration::from_nanos(1)),
+            ..EngineOptions::basic(2, u64::MAX)
         };
         let report = run_matrix_opts(&sim, standard_jobs(&specs), opts);
-        let err = report.outputs[0].as_ref().expect_err("the slow cell");
-        assert_eq!(err.kind, JobErrorKind::TimedOut);
-        assert!(err.message.contains(ENV_JOB_TIMEOUT), "{}", err.message);
-        assert!(report.outputs[1].is_ok());
+        assert_eq!(report.timed_out_cells(), 2);
+        for output in &report.outputs {
+            let err = output.as_ref().expect_err("no cell beats a 1ns deadline");
+            assert!(!err.message.contains("after 0 simulated"), "{}", err.message);
+        }
     }
 
+    /// A slow fault with no deadline to end it would hang the sweep, so it
+    /// panics instead.
     #[test]
     fn unwatched_stall_faults_downgrade_to_panics_instead_of_hanging() {
         let sim = tiny_sim();
         let specs = [tiny_spec("nohang", 29)];
-        for kind in [InjectedFault::Stall, InjectedFault::Slow] {
-            let opts = EngineOptions {
-                fault: Some(FaultSpec { cell: 0, kind }),
-                ..EngineOptions::basic(1, u64::MAX)
-            };
-            let started = Instant::now();
-            let report = run_matrix_opts(&sim, standard_jobs(&specs), opts);
-            assert!(started.elapsed() < Duration::from_secs(20));
-            let err = report.outputs[0].as_ref().expect_err("the faulted cell");
-            assert_eq!(err.kind, JobErrorKind::Panic, "downgraded: nothing could cancel it");
-        }
-    }
-
-    #[test]
-    fn exhausted_retries_quarantine_the_cell_and_resumes_skip_it() {
-        let sim = tiny_sim();
-        let specs = [tiny_spec("quar", 31)];
-        let path = tmp("quarantine");
-        let _ = std::fs::remove_file(&path);
-        let fault = FaultSpec { cell: 1, kind: InjectedFault::Panic };
-        let supervise = SuperviseConfig { retries: 2, ..SuperviseConfig::default() };
-
-        // First pass: cell 1 panics on every attempt, exhausts its retries
-        // and is quarantined in the journal.
-        let cp = Arc::new(Checkpoint::open(&path).expect("journal opens"));
         let opts = EngineOptions {
-            supervise,
-            ..with_fault(2, u64::MAX, Some(cp), Some(fault))
-        };
-        let first = run_matrix_opts(&sim, standard_jobs(&specs), opts);
-        let err = first.outputs[1].as_ref().expect_err("the faulted cell");
-        assert_eq!(err.kind, JobErrorKind::Panic);
-        assert_eq!(err.attempts, 3, "one initial try plus two retries");
-        assert_eq!(first.retried_cells(), 1);
-
-        // Second pass, same journal, fault still armed: the quarantined
-        // cell is skipped (no attempts burned), the completed cell resumes.
-        let cp = Arc::new(Checkpoint::open(&path).expect("journal reopens"));
-        assert_eq!(cp.quarantined_len(), 1);
-        let opts = EngineOptions {
-            supervise,
-            ..with_fault(2, u64::MAX, Some(cp), Some(fault))
-        };
-        let second = run_matrix_opts(&sim, standard_jobs(&specs), opts);
-        assert_eq!(second.resumed_cells(), 1);
-        assert_eq!(second.quarantined_cells(), 1);
-        let err = second.outputs[1].as_ref().expect_err("the quarantined cell");
-        assert_eq!(err.kind, JobErrorKind::Quarantined);
-        assert_eq!(err.kind.status(), "quarantined");
-        assert_eq!(err.attempts, 0, "skipped, never run");
-        assert!(err.message.contains("quarantined by an earlier invocation"), "{}", err.message);
-        assert_eq!(second.retried_cells(), 0);
-
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn retries_without_a_checkpoint_do_not_quarantine() {
-        let sim = tiny_sim();
-        let specs = [tiny_spec("noquar", 37)];
-        let supervise = SuperviseConfig { retries: 1, ..SuperviseConfig::default() };
-        let opts = EngineOptions {
-            supervise,
-            fault: Some(FaultSpec { cell: 0, kind: InjectedFault::Panic }),
+            fault: Some(FaultSpec { cell: 0, kind: InjectedFault::Slow }),
             ..EngineOptions::basic(1, u64::MAX)
         };
         let report = run_matrix_opts(&sim, standard_jobs(&specs), opts);
         let err = report.outputs[0].as_ref().expect_err("the faulted cell");
-        assert_eq!(err.kind, JobErrorKind::Panic);
-        assert_eq!(err.attempts, 2);
-        assert_eq!(report.quarantined_cells(), 0);
+        assert_eq!(err.kind, JobErrorKind::Panic, "nothing could end it, so it panics");
+        assert!(err.message.contains(ENV_FAULT_CELL), "{}", err.message);
     }
 
     #[test]
-    fn chaos_outcomes_are_deterministic_across_thread_counts() {
+    fn a_failed_trace_fails_every_cell_that_shares_it() {
         let sim = tiny_sim();
-        let specs = [tiny_spec("chaos-a", 41), tiny_spec("chaos-b", 43)];
-        let supervise = SuperviseConfig {
-            job_timeout: Some(Duration::from_secs(2)),
-            stall_timeout: Some(Duration::from_millis(250)),
-            retries: 0,
-        };
-        let run = |threads: usize| {
-            let opts = EngineOptions {
-                supervise,
-                chaos: Some(Arc::new(ChaosPlan::new(0xC0FFEE, 1.0))),
-                ..EngineOptions::basic(threads, u64::MAX)
-            };
-            run_matrix_opts(&sim, standard_jobs(&specs), opts)
-        };
-        let one = run(1);
-        let four = run(4);
-        let digest = |report: &MatrixReport| {
-            report
-                .outputs
-                .iter()
-                .map(|o| match o {
-                    Ok(out) => format!(
-                        "ok:{}:{}:{}",
-                        out.result.mispredicts, out.result.degraded, out.result.attempts
-                    ),
-                    Err(e) => format!("{:?}:{}", e.kind, e.attempts),
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(digest(&one), digest(&four));
-        let events = |report: &MatrixReport| {
-            report
-                .chaos
-                .as_ref()
-                .expect("chaos report present")
-                .events
-                .iter()
-                .map(|e| format!("{:?}:{}:{}:{}", e.cell, e.attempt, e.kind, e.outcome))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(events(&one), events(&four));
-        assert!(
-            !events(&one).is_empty(),
-            "rate 1.0 must inject into every cell"
-        );
+        let bad = WorkloadSpec::new("bad", 1).with_request_types(0);
+        let good = tiny_spec("good", 31);
+        for cap in [0u64, u64::MAX] {
+            let report =
+                run_matrix_with(&sim, standard_jobs(&[bad.clone(), good.clone()]), 2, cap);
+            assert_eq!(report.failed_cells(), 2, "cap={cap}");
+            for err in report.failures() {
+                assert_eq!(err.workload, "bad");
+                assert_eq!(err.kind, JobErrorKind::Panic);
+                assert!(err.message.contains("invalid workload spec `bad`"), "{}", err.message);
+            }
+            assert!(report.outputs[2].is_ok() && report.outputs[3].is_ok());
+        }
     }
 }

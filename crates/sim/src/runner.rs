@@ -13,7 +13,6 @@ use workloads::{ServerWorkload, WorkloadSpec};
 use crate::env::Knob;
 use crate::error::{JobError, JobErrorKind, SimError};
 use crate::predictor::SimPredictor;
-use crate::supervise::{CancelReason, Cancelled, JobTicket};
 
 /// Outcome of one matrix cell.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -21,23 +20,17 @@ pub enum RunStatus {
     /// The run completed.
     #[default]
     Ok,
-    /// The cell's worker panicked; the matrix kept going and this result
-    /// is a placeholder carrying the captured message.
+    /// The cell's worker panicked or its workload failed validation; the
+    /// matrix kept going and this result is a placeholder carrying the
+    /// captured message.
     Failed {
-        /// The captured panic message.
+        /// The captured panic or validation message.
         error: String,
     },
-    /// The cell was cancelled by the watchdog (wall-clock deadline or
-    /// heartbeat stall); the matrix kept going.
+    /// The cell passed its wall-clock deadline (`LLBPX_JOB_TIMEOUT`) and
+    /// was stopped; the matrix kept going.
     TimedOut {
-        /// Why and when the watchdog cancelled it.
-        error: String,
-    },
-    /// The cell was quarantined in the checkpoint journal by an earlier
-    /// invocation that exhausted `LLBPX_JOB_RETRIES`; this invocation
-    /// skipped it instead of re-failing.
-    Quarantined {
-        /// The failure that exhausted the retries.
+        /// When the deadline stopped it.
         error: String,
     },
 }
@@ -49,7 +42,6 @@ impl RunStatus {
             RunStatus::Ok => "ok",
             RunStatus::Failed { .. } => "failed",
             RunStatus::TimedOut { .. } => "timeout",
-            RunStatus::Quarantined { .. } => "quarantined",
         }
     }
 }
@@ -113,12 +105,6 @@ pub struct RunResult {
     /// Whether this result was restored from a checkpoint journal instead
     /// of simulated in this invocation.
     pub resumed: bool,
-    /// Whether memory pressure demoted this run from the shared trace
-    /// cache to streaming (results identical, attribution differs).
-    pub degraded: bool,
-    /// Attempts the supervision layer made at this cell (0 = untracked,
-    /// e.g. direct [`Simulation::run`] calls or checkpoint restores).
-    pub attempts: u32,
 }
 
 impl RunResult {
@@ -134,27 +120,23 @@ impl RunResult {
     }
 
     /// A placeholder result for a matrix cell that errored, with the
-    /// status matching the error's kind (failed / timeout / quarantined);
-    /// coordinators render these as `n/a` rows.
+    /// status matching the error's kind (failed / timeout); coordinators
+    /// render these as `n/a` rows.
     pub fn from_job_error(err: JobError) -> RunResult {
-        let JobError { workload, predictor, message: error, kind, attempts, .. } = err;
+        let JobError { workload, predictor, message: error, kind, .. } = err;
         RunResult {
             name: predictor.unwrap_or_else(|| "(failed)".to_owned()),
             workload,
             status: match kind {
                 JobErrorKind::Panic => RunStatus::Failed { error },
-                JobErrorKind::TimedOut | JobErrorKind::Stalled => {
-                    RunStatus::TimedOut { error }
-                }
-                JobErrorKind::Quarantined => RunStatus::Quarantined { error },
+                JobErrorKind::TimedOut => RunStatus::TimedOut { error },
             },
-            attempts,
             ..RunResult::default()
         }
     }
 
     /// Whether the cell did not complete (the accuracy fields are
-    /// meaningless then): panicked, timed out, or quarantined.
+    /// meaningless then): it failed or timed out.
     pub fn is_failed(&self) -> bool {
         !matches!(self.status, RunStatus::Ok)
     }
@@ -163,9 +145,7 @@ impl RunResult {
     pub fn error(&self) -> Option<&str> {
         match &self.status {
             RunStatus::Ok => None,
-            RunStatus::Failed { error }
-            | RunStatus::TimedOut { error }
-            | RunStatus::Quarantined { error } => Some(error),
+            RunStatus::Failed { error } | RunStatus::TimedOut { error } => Some(error),
         }
     }
     /// Mispredictions per kilo-instruction.
@@ -221,8 +201,6 @@ impl RunResult {
                 self.trace_source.as_str().to_owned()
             },
             resumed: self.resumed,
-            degraded: self.degraded,
-            attempts: u64::from(self.attempts),
             extra: Vec::new(),
         }
     }
@@ -248,10 +226,19 @@ pub static MEASURE: Knob<u64> = Knob::new(
     parse_instruction_count,
 );
 
-/// Records between supervision heartbeat bumps / cancellation checks in
-/// the hot loop: one relaxed atomic op per stride keeps the overhead
-/// unmeasurable while bounding cancellation latency to ~a stride of work.
+/// Records between deadline checks in the hot loop: one clock read per
+/// stride keeps the overhead unmeasurable while bounding how far a cell
+/// runs past its deadline to about a stride of work.
 pub const HEARTBEAT_STRIDE: u32 = 1024;
+
+/// A run stopped by its wall-clock deadline (see
+/// [`Simulation::run_stream_until`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DeadlineExceeded {
+    /// Instructions (warmup + measurement) simulated when the deadline
+    /// was noticed.
+    pub instructions: u64,
+}
 
 /// Warmup/measurement protocol, in instructions (the paper warms 100M and
 /// measures 200M; scale to taste via [`Simulation::from_env`]).
@@ -315,24 +302,24 @@ impl Simulation {
         P: SimPredictor + ?Sized,
         S: BranchStream + ?Sized,
     {
-        match self.run_stream_watched(predictor, stream, workload, &JobTicket::unsupervised()) {
+        match self.run_stream_until(predictor, stream, workload, None) {
             Ok(result) => result,
-            Err(_) => unreachable!("an unsupervised ticket is never cancelled"),
+            Err(_) => unreachable!("a run without a deadline never exceeds it"),
         }
     }
 
-    /// [`Simulation::run_stream`] under supervision: the hot loop bumps
-    /// `ticket`'s heartbeat and polls its cancel flag every
-    /// [`HEARTBEAT_STRIDE`] records, returning [`Cancelled`] when the
-    /// watchdog raised the flag. The heartbeat never influences simulated
-    /// state, so supervised and unsupervised runs are bit-identical.
-    pub fn run_stream_watched<P, S>(
+    /// [`Simulation::run_stream`] with an optional wall-clock `deadline`:
+    /// every [`HEARTBEAT_STRIDE`] records the hot loop compares the clock
+    /// against it and stops with [`DeadlineExceeded`] once it has passed.
+    /// The check never influences simulated state, so a run that finishes
+    /// in time is bit-identical to one without a deadline.
+    pub fn run_stream_until<P, S>(
         &self,
         predictor: &mut P,
         stream: &mut S,
         workload: &str,
-        ticket: &JobTicket,
-    ) -> Result<RunResult, Cancelled>
+        deadline: Option<Instant>,
+    ) -> Result<RunResult, DeadlineExceeded>
     where
         P: SimPredictor + ?Sized,
         S: BranchStream + ?Sized,
@@ -340,14 +327,13 @@ impl Simulation {
         let started = Instant::now();
         let profile_before = telemetry::profile::snapshot();
         let mut since_check: u32 = 0;
-        let mut check = || -> Option<CancelReason> {
+        let mut past_deadline = || -> bool {
             since_check += 1;
-            if since_check >= HEARTBEAT_STRIDE {
-                since_check = 0;
-                ticket.bump();
-                return ticket.cancelled();
+            if since_check < HEARTBEAT_STRIDE {
+                return false;
             }
-            None
+            since_check = 0;
+            deadline.is_some_and(|d| Instant::now() >= d)
         };
 
         // Warmup.
@@ -356,8 +342,8 @@ impl Simulation {
             let Some(rec) = stream.next_branch() else { break };
             elapsed += rec.instructions();
             predictor.process(PredictInput::new(&rec));
-            if let Some(reason) = check() {
-                return Err(Cancelled { reason, instructions: elapsed });
+            if past_deadline() {
+                return Err(DeadlineExceeded { instructions: elapsed });
             }
         }
         // Second-level counters are cumulative; snapshot them so the
@@ -397,11 +383,8 @@ impl Simulation {
             if result.instructions >= recorder.next_boundary() {
                 recorder.observe(snapshot_counters(&result, predictor, warm_stats.as_ref()));
             }
-            if let Some(reason) = check() {
-                return Err(Cancelled {
-                    reason,
-                    instructions: elapsed + result.instructions,
-                });
+            if past_deadline() {
+                return Err(DeadlineExceeded { instructions: elapsed + result.instructions });
             }
         }
         predictor.finish();
@@ -568,65 +551,60 @@ mod tests {
     }
 
     #[test]
-    fn a_cancelled_ticket_stops_the_run_within_a_stride() {
-        use crate::supervise::CancelReason;
+    fn a_passed_deadline_stops_the_run_within_a_stride() {
         let sim = Simulation { warmup_instructions: 0, measure_instructions: u64::MAX };
-        let ticket = JobTicket::new(0);
-        ticket.cancel(CancelReason::Stalled);
         let mut stream = ServerWorkload::new(&tiny_spec());
-        let cancelled = sim
-            .run_stream_watched(
+        let exceeded = sim
+            .run_stream_until(
                 &mut TageScl::new(TslConfig::kilobytes(64)),
                 &mut stream,
                 "tiny",
-                &ticket,
+                Some(Instant::now()),
             )
-            .expect_err("a pre-cancelled ticket must stop the run");
-        assert_eq!(cancelled.reason, CancelReason::Stalled);
-        assert!(cancelled.instructions > 0, "it ran up to the first check");
-        assert!(ticket.heartbeat() >= 1, "the loop beat before noticing");
+            .expect_err("a deadline already passed must stop the run");
+        assert!(exceeded.instructions > 0, "it ran up to the first check");
+        // A record covers at most 11 instructions (its gap is at most 10).
+        let one_stride = u64::from(HEARTBEAT_STRIDE) * 11;
+        assert!(exceeded.instructions <= one_stride, "it stopped at the first check");
     }
 
+    /// A run that beats its deadline is bit-identical to one without.
     #[test]
     fn watched_and_unwatched_runs_are_bit_identical() {
         let sim = tiny_sim();
         let plain = sim.run(&mut TageScl::new(TslConfig::kilobytes(64)), &tiny_spec());
         let mut stream = ServerWorkload::new(&tiny_spec());
-        let ticket = JobTicket::new(0);
+        let far = Instant::now() + std::time::Duration::from_secs(3600);
         let watched = sim
-            .run_stream_watched(
+            .run_stream_until(
                 &mut TageScl::new(TslConfig::kilobytes(64)),
                 &mut stream,
                 "tiny",
-                &ticket,
+                Some(far),
             )
-            .expect("never cancelled");
+            .expect("the deadline is an hour away");
         assert_eq!(plain.mispredicts, watched.mispredicts);
         assert_eq!(plain.instructions, watched.instructions);
         assert_eq!(plain.intervals, watched.intervals);
-        assert!(ticket.heartbeat() > 0, "the hot loop published progress");
     }
 
     #[test]
     fn statuses_map_to_labels_and_placeholders() {
         use crate::error::{JobError, JobErrorKind};
         assert_eq!(RunStatus::Ok.as_str(), "ok");
+        assert_eq!(RunStatus::Failed { error: "e".into() }.as_str(), "failed");
         assert_eq!(RunStatus::TimedOut { error: "e".into() }.as_str(), "timeout");
-        assert_eq!(RunStatus::Quarantined { error: "e".into() }.as_str(), "quarantined");
         let err = JobError {
-            kind: JobErrorKind::Stalled,
-            attempts: 2,
-            ..JobError::panic(1, "w", Some("LLBP".into()), None, "no progress".into())
+            kind: JobErrorKind::TimedOut,
+            ..JobError::panic(1, "w", Some("LLBP".into()), None, "too slow".into())
         };
-        let r = RunResult::from_job_error(err);
+        let mut r = RunResult::from_job_error(err);
         assert!(r.is_failed());
         assert_eq!(r.status.as_str(), "timeout");
-        assert_eq!(r.error(), Some("no progress"));
-        assert_eq!(r.attempts, 2);
-        let mut r = r;
+        assert_eq!(r.error(), Some("too slow"));
         let rec = r.take_record(&tiny_sim());
         assert_eq!(rec.status, "timeout");
-        assert_eq!(rec.attempts, 2);
+        assert_eq!(rec.error.as_deref(), Some("too slow"));
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Randomized tests for the synthetic workload generator.
 //!
-//! Offline port of the proptest suite in `extras/net-deps/tests/` — the same
-//! properties, driven by the in-repo deterministic PRNG so the default
-//! workspace needs no registry access.
+//! Property tests driven by the in-repo deterministic PRNG
+//! (`telemetry::SplitMix64`), so the workspace needs no registry access.
 
 use telemetry::SplitMix64;
 use traces::{BranchStream, StreamExt};

@@ -68,7 +68,7 @@ fn bench_binary_emits_a_valid_record_with_json_flag() {
     assert_eq!(lines.len(), 1, "one invocation appends one line");
     let line = Json::parse(lines[0]).expect("the record line is valid JSON");
 
-    assert_eq!(line.get("schema").unwrap().as_str(), Some("llbpx-telemetry/3"));
+    assert_eq!(line.get("schema").unwrap().as_str(), Some("llbpx-telemetry/4"));
     assert_eq!(line.get("bench").unwrap().as_str(), Some("fig01"));
 
     // Engine bookkeeping on the record line.
