@@ -16,12 +16,10 @@
 
 use std::collections::{HashMap, VecDeque};
 
+use tage::folded::FoldBank;
 use tage::sc::ScInputConfidence;
 use tage::tsl::TslInfo;
-use tage::{
-    DirectionPredictor, FoldedHistory, PredictInput, TageScl, Update, HISTORY_LENGTHS,
-    NUM_TABLES,
-};
+use tage::{DirectionPredictor, PredictInput, TageScl, Update, HISTORY_LENGTHS, NUM_TABLES};
 use traces::BranchRecord;
 
 use crate::buffer::{Evicted, PatternBuffer, PbLookup};
@@ -60,10 +58,9 @@ pub struct Llbp {
     cfg: LlbpConfig,
     xcfg: Option<LlbpxConfig>,
     tsl: TageScl,
-    /// Per-length tag folds at the pattern tag width.
-    fold1: Vec<FoldedHistory>,
-    /// Second folds at width-1 (decorrelates tags, as in TAGE).
-    fold2: Vec<FoldedHistory>,
+    /// Per history length: the pattern-tag fold at the pattern tag width,
+    /// and one at width − 1 (decorrelates tags, as in TAGE).
+    folds: FoldBank<2>,
     rcr: Rcr,
     ctt: Option<ContextTrackingTable>,
     /// Opt-W oracle: fixed depth decision per shallow context ID.
@@ -124,9 +121,7 @@ impl Llbp {
 
     fn build(cfg: LlbpConfig, xcfg: Option<LlbpxConfig>, oracle: Option<HashMap<u64, bool>>) -> Self {
         let tag_bits = cfg.pattern_tag_bits;
-        let fold1 = HISTORY_LENGTHS.iter().map(|&l| FoldedHistory::new(l, tag_bits)).collect();
-        let fold2 =
-            HISTORY_LENGTHS.iter().map(|&l| FoldedHistory::new(l, tag_bits - 1)).collect();
+        let folds = FoldBank::new(|_| [tag_bits, tag_bits - 1]);
         let store = if cfg.infinite_contexts {
             PatternStore::infinite()
         } else {
@@ -146,8 +141,7 @@ impl Llbp {
         };
         Llbp {
             tsl: TageScl::new(cfg.tsl.clone()),
-            fold1,
-            fold2,
+            folds,
             rcr: Rcr::new(),
             ctt,
             oracle,
@@ -238,10 +232,8 @@ impl Llbp {
         let mask = (1u64 << self.cfg.pattern_tag_bits) - 1;
         let mut tags = [0u32; NUM_TABLES];
         for (i, tag) in tags.iter_mut().enumerate() {
-            *tag = (((pc >> 2)
-                ^ self.fold1[i].value()
-                ^ (self.fold2[i].value() << 1))
-                & mask) as u32;
+            *tag = (((pc >> 2) ^ self.folds.value(i, 0) ^ (self.folds.value(i, 1) << 1)) & mask)
+                as u32;
         }
         tags
     }
@@ -305,6 +297,8 @@ impl Llbp {
         self.stats.pb_accesses += 1;
 
         let tage = self.tsl.tage_info(pc);
+        // Kept by value: `tage` itself moves into the TSL's training info.
+        let tage_provider_bits = tage.provider_history_len();
         let linfo = self.tsl.loop_info(pc);
         let tags = self.pattern_tags(pc);
 
@@ -341,7 +335,7 @@ impl Llbp {
         // pattern does not overturn a disagreeing primary prediction.
         let llbp_provides = m
             .map(|pm| {
-                HISTORY_LENGTHS[pm.len_idx as usize] >= tage.provider_history_len()
+                HISTORY_LENGTHS[pm.len_idx as usize] >= tage_provider_bits
                     && !(pm.weak && pm.taken != tage.pred)
             })
             .unwrap_or(false);
@@ -401,8 +395,7 @@ impl Llbp {
         }
 
         // --- train the TSL -------------------------------------------------
-        let tsl_info =
-            TslInfo { tage: tage.clone(), loop_info: linfo, sc: None, pred: final_pred };
+        let tsl_info = TslInfo { tage, loop_info: linfo, sc: None, pred: final_pred };
         self.tsl.train_without_sc(pc, taken, &tsl_info);
         if let Some((eval, input, conf)) = sc_used {
             self.tsl.train_sc_with_input(pc, taken, input, conf, eval);
@@ -429,7 +422,7 @@ impl Llbp {
                 HISTORY_LENGTHS
                     [m.unwrap_or_else(|| unreachable!("provides implies match")).len_idx as usize]
             } else {
-                tage.provider_history_len()
+                tage_provider_bits
             };
             self.allocate(pc, taken, provider_bits, &tags, cur, &allowed);
             self.on_mispredict(cur);
@@ -633,14 +626,11 @@ impl DirectionPredictor for Llbp {
             .is_conditional()
             .then(|| self.predict_and_train(record));
         // Histories advance after prediction/update, exactly once per
-        // branch, shared between TAGE and the pattern-tag folds. The newest
-        // history bit is read once for all 42 folds.
-        self.tsl.update_history(record);
-        let history = self.tsl.history();
-        let inbit = history.bit_unchecked(0);
-        for f in self.fold1.iter_mut().chain(self.fold2.iter_mut()) {
-            f.update_with(inbit, history);
-        }
+        // branch. The pattern-tag folds consume the fold step TAGE read for
+        // its own folds, so each history length's outgoing bit is read once
+        // per branch for all five folds over it.
+        let step = self.tsl.update_history(record);
+        self.folds.update(step);
         if record.kind.is_unconditional() {
             self.on_unconditional(record);
         }

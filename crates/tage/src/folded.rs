@@ -5,9 +5,17 @@
 //! the history into `w` bits and updates it in O(1) per branch: shift in the
 //! newest bit, XOR out the bit that just left the `L`-bit window.
 //!
-//! [`FoldedHistory`] is shared with the `llbpx` crate, which computes pattern
-//! tags at its own widths (13 / 20 bits) from the same global history.
+//! Every fold a predictor keeps is over one of the [`NUM_TABLES`] lengths of
+//! [`HISTORY_LENGTHS`], so the folds of one length all consume the same
+//! outgoing bit. [`FoldStep`] reads those bits once per branch, as one mask,
+//! and a [`FoldBank`] updates all of a predictor's folds from it: TAGE keeps
+//! a bank of three folds per length (index width, tag width, tag width − 1),
+//! and the `llbpx` crate a bank of two (pattern tag width and width − 1) fed
+//! the same step, as the hardware proposal shares TAGE's hash pipeline.
+//!
+//! [`FoldedHistory`] is the single fold both banks are built from.
 
+use crate::config::{HISTORY_LENGTHS, NUM_TABLES};
 use crate::history::GlobalHistory;
 
 /// An incrementally maintained `width`-bit fold of the most recent
@@ -83,14 +91,13 @@ impl FoldedHistory {
     /// Folds in the newest bit of `history` (call after `history.push`).
     #[inline]
     pub fn update(&mut self, history: &GlobalHistory) {
-        self.update_with(history.bit(0), history)
+        self.shift(history.bit(0), history.bit(self.length))
     }
 
-    /// [`update`](Self::update) with the newest bit supplied by the caller,
-    /// so a bundle of folds over one history reads it once per branch.
+    /// Shifts in `inbit` (age 0) and cancels `outbit`, the bit of age
+    /// `length` that just left the window.
     #[inline(always)]
-    pub fn update_with(&mut self, inbit: u64, history: &GlobalHistory) {
-        let outbit = history.bit_unchecked(self.length);
+    fn shift(&mut self, inbit: u64, outbit: u64) {
         self.comp = (self.comp << 1) | inbit;
         self.comp ^= outbit << self.out_pos;
         self.comp ^= self.comp >> self.width;
@@ -113,53 +120,100 @@ impl FoldedHistory {
     }
 }
 
-/// A bundle of folds over the same global history, one per requested
-/// (length, width) pair, updated in lock-step.
+/// The history bits one branch feeds every fold: the bit just pushed, and,
+/// for each of the [`NUM_TABLES`] lengths of [`HISTORY_LENGTHS`], the bit
+/// that just left that window.
 ///
-/// TAGE instantiates one set for indices and two for tags; LLBP instantiates
-/// one per pattern history length at its tag width.
-#[derive(Debug, Clone)]
-pub struct FoldedSet {
-    folds: Vec<FoldedHistory>,
+/// ```
+/// use tage::folded::FoldStep;
+/// use tage::{GlobalHistory, HISTORY_LENGTHS};
+///
+/// let mut h = GlobalHistory::new();
+/// h.push(true);
+/// for _ in 0..HISTORY_LENGTHS[0] {
+///     h.push(false);
+/// }
+/// // The one set bit has just aged out of the shortest window.
+/// assert_eq!(FoldStep::read(&h).outgoing(), 1);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FoldStep {
+    inbit: u64,
+    outgoing: u32,
 }
 
-impl FoldedSet {
-    /// Builds a set from `(length, width)` pairs.
-    pub fn new(specs: impl IntoIterator<Item = (usize, u32)>) -> Self {
-        FoldedSet {
-            folds: specs.into_iter().map(|(l, w)| FoldedHistory::new(l, w)).collect(),
+impl FoldStep {
+    /// Reads the step from `history` after the branch's bit was pushed:
+    /// one ring read per history length.
+    #[inline]
+    pub fn read(history: &GlobalHistory) -> Self {
+        let mut outgoing = 0u32;
+        for (t, &length) in HISTORY_LENGTHS.iter().enumerate() {
+            outgoing |= (history.bit_unchecked(length) as u32) << t;
+        }
+        FoldStep { inbit: history.bit_unchecked(0), outgoing }
+    }
+
+    /// Outgoing-bit mask: bit `t` is the history bit of age
+    /// `HISTORY_LENGTHS[t]`.
+    #[inline]
+    pub fn outgoing(&self) -> u32 {
+        self.outgoing
+    }
+}
+
+/// `K` folds of each of the [`NUM_TABLES`] history lengths, at widths fixed
+/// per length, all advanced by one [`FoldStep`] per branch.
+///
+/// ```
+/// use tage::folded::{FoldBank, FoldStep};
+/// use tage::{FoldedHistory, GlobalHistory, HISTORY_LENGTHS};
+///
+/// let mut h = GlobalHistory::new();
+/// let mut bank = FoldBank::new(|_| [13, 12]);
+/// for i in 0..5000 {
+///     h.push(i % 7 < 3);
+///     bank.update(FoldStep::read(&h));
+/// }
+/// let reference = FoldedHistory::new(HISTORY_LENGTHS[20], 12);
+/// assert_eq!(bank.value(20, 1), reference.compute_reference(&h));
+/// ```
+#[derive(Debug, Clone)]
+pub struct FoldBank<const K: usize> {
+    folds: [[FoldedHistory; K]; NUM_TABLES],
+}
+
+impl<const K: usize> FoldBank<K> {
+    /// Builds a bank whose folds of `HISTORY_LENGTHS[t]` have the widths
+    /// `widths(t)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a width is 0 or above 32.
+    pub fn new(widths: impl Fn(usize) -> [u32; K]) -> Self {
+        FoldBank {
+            folds: std::array::from_fn(|t| {
+                widths(t).map(|w| FoldedHistory::new(HISTORY_LENGTHS[t], w))
+            }),
         }
     }
 
-    /// Updates every fold after a history push. The newest history bit is
-    /// read once and shared across all folds.
+    /// Advances every fold past one branch: each length's folds share the
+    /// step's one outgoing bit.
     #[inline]
-    pub fn update(&mut self, history: &GlobalHistory) {
-        let inbit = history.bit_unchecked(0);
-        for f in &mut self.folds {
-            f.update_with(inbit, history);
+    pub fn update(&mut self, step: FoldStep) {
+        for (t, folds) in self.folds.iter_mut().enumerate() {
+            let outbit = u64::from(step.outgoing >> t) & 1;
+            for f in folds {
+                f.shift(step.inbit, outbit);
+            }
         }
     }
 
-    /// Value of fold `i`.
+    /// Value of fold `k` of history length `HISTORY_LENGTHS[t]`.
     #[inline]
-    pub fn value(&self, i: usize) -> u64 {
-        self.folds[i].value()
-    }
-
-    /// Number of folds in the set.
-    pub fn len(&self) -> usize {
-        self.folds.len()
-    }
-
-    /// Returns `true` if the set holds no folds.
-    pub fn is_empty(&self) -> bool {
-        self.folds.is_empty()
-    }
-
-    /// Read-only access to the folds.
-    pub fn folds(&self) -> &[FoldedHistory] {
-        &self.folds
+    pub fn value(&self, t: usize, k: usize) -> u64 {
+        self.folds[t][k].value()
     }
 }
 
@@ -248,26 +302,28 @@ mod tests {
     }
 
     #[test]
-    fn folded_set_updates_in_lockstep() {
+    fn fold_bank_updates_in_lockstep() {
+        let widths = |t: usize| [10, 13 - (t as u32 % 3), 1];
         let mut h = GlobalHistory::new();
-        let mut set = FoldedSet::new([(6usize, 10u32), (37, 13), (232, 12)]);
-        let mut singles: Vec<FoldedHistory> =
-            vec![FoldedHistory::new(6, 10), FoldedHistory::new(37, 13), FoldedHistory::new(232, 12)];
+        let mut bank = FoldBank::new(widths);
+        let mut singles: Vec<[FoldedHistory; 3]> = (0..NUM_TABLES)
+            .map(|t| widths(t).map(|w| FoldedHistory::new(HISTORY_LENGTHS[t], w)))
+            .collect();
         let mut x = 0x1234u64 | 1;
-        for _ in 0..2000 {
+        for _ in 0..5000 {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
             h.push(x & 1 == 1);
-            set.update(&h);
-            for s in &mut singles {
+            bank.update(FoldStep::read(&h));
+            for s in singles.iter_mut().flatten() {
                 s.update(&h);
             }
         }
-        for (i, s) in singles.iter().enumerate() {
-            assert_eq!(set.value(i), s.value());
+        for (t, folds) in singles.iter().enumerate() {
+            for (k, s) in folds.iter().enumerate() {
+                assert_eq!(bank.value(t, k), s.value(), "length {} fold {k}", HISTORY_LENGTHS[t]);
+            }
         }
-        assert_eq!(set.len(), 3);
-        assert!(!set.is_empty());
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::bimodal::Bimodal;
 use crate::config::{TageConfig, HISTORY_LENGTHS, NUM_TABLES};
-use crate::folded::FoldedSet;
+use crate::folded::{FoldBank, FoldStep};
 use crate::history::{GlobalHistory, PathHistory, PathMix};
 use crate::table::{TageEntry, TaggedTable};
 
@@ -68,9 +68,9 @@ pub struct Tage {
     bimodal: Bimodal,
     history: GlobalHistory,
     path: PathHistory,
-    index_folds: FoldedSet,
-    tag_folds: FoldedSet,
-    tag_folds2: FoldedSet,
+    /// Per history length: the index fold, the tag fold, and the tag fold
+    /// one bit narrower.
+    folds: FoldBank<3>,
     keys: [KeyConsts; NUM_TABLES],
     /// Signed counter: ≥0 means trust the alternate over weak providers.
     use_alt_on_na: i8,
@@ -86,15 +86,7 @@ impl Tage {
         let tables: Vec<TaggedTable> = (0..NUM_TABLES)
             .map(|t| TaggedTable::new(cfg.storage, cfg.log2_entries, cfg.tag_bits(t)))
             .collect();
-        let index_folds = FoldedSet::new(
-            HISTORY_LENGTHS.iter().map(|&l| (l, cfg.log2_entries)),
-        );
-        let tag_folds = FoldedSet::new(
-            (0..NUM_TABLES).map(|t| (HISTORY_LENGTHS[t], cfg.tag_bits(t))),
-        );
-        let tag_folds2 = FoldedSet::new(
-            (0..NUM_TABLES).map(|t| (HISTORY_LENGTHS[t], cfg.tag_bits(t) - 1)),
-        );
+        let folds = FoldBank::new(|t| [cfg.log2_entries, cfg.tag_bits(t), cfg.tag_bits(t) - 1]);
         let keys = std::array::from_fn(|t| KeyConsts {
             pc_shift: ((t as u32) % cfg.log2_entries) + 1,
             path_mix: PathMix::new(HISTORY_LENGTHS[t].min(16), t, cfg.log2_entries),
@@ -106,9 +98,7 @@ impl Tage {
             tables,
             history: GlobalHistory::new(),
             path: PathHistory::new(),
-            index_folds,
-            tag_folds,
-            tag_folds2,
+            folds,
             keys,
             use_alt_on_na: 0,
             rng: 0x9e37_79b9_7f4a_7c15,
@@ -122,7 +112,7 @@ impl Tage {
         &self.cfg
     }
 
-    /// Shared global history register (LLBP folds off the same register).
+    /// Shared global history register (the SC reads it too).
     pub fn history(&self) -> &GlobalHistory {
         &self.history
     }
@@ -134,11 +124,11 @@ impl Tage {
         let pcs = pc >> 2;
         for t in 0..NUM_TABLES {
             let k = &self.keys[t];
-            let hist_mix = self.index_folds.value(t);
+            let hist_mix = self.folds.value(t, 0);
             let path_mix = k.path_mix.apply(&self.path);
             indices[t] = (pcs ^ (pcs >> k.pc_shift) ^ hist_mix ^ path_mix) & k.index_mask;
-            tags[t] = ((pcs ^ self.tag_folds.value(t) ^ (self.tag_folds2.value(t) << 1))
-                & k.tag_mask) as u32;
+            tags[t] = ((pcs ^ self.folds.value(t, 1) ^ (self.folds.value(t, 2) << 1)) & k.tag_mask)
+                as u32;
         }
     }
 
@@ -288,16 +278,18 @@ impl Tage {
         }
     }
 
-    /// Advances global, path and folded histories past `record`.
+    /// Advances global, path and folded histories past `record`, and
+    /// returns the fold step it applied so folds kept outside TAGE (LLBP's
+    /// pattern tags) advance from the same bits without re-reading them.
     ///
     /// Must be called exactly once per dynamic branch (conditional and
     /// unconditional), after [`update`](Self::update).
-    pub fn update_history(&mut self, record: &traces::BranchRecord) {
+    pub fn update_history(&mut self, record: &traces::BranchRecord) -> FoldStep {
         self.history.push(crate::history::history_bit(record));
         self.path.push(record.pc);
-        self.index_folds.update(&self.history);
-        self.tag_folds.update(&self.history);
-        self.tag_folds2.update(&self.history);
+        let step = FoldStep::read(&self.history);
+        self.folds.update(step);
+        step
     }
 
     /// Storage in bits (tagged tables + bimodal).

@@ -11,6 +11,7 @@
 //! as the hardware proposal does.
 
 use crate::config::TslConfig;
+use crate::folded::FoldStep;
 use crate::history::GlobalHistory;
 use crate::loop_pred::{LoopInfo, LoopPredictor};
 use crate::predictor::{DirectionPredictor, PredictInput, Update};
@@ -57,7 +58,7 @@ impl TageScl {
         &self.cfg
     }
 
-    /// Shared global history (the `llbpx` crate folds off this register).
+    /// Shared global history register.
     pub fn history(&self) -> &GlobalHistory {
         self.tage.history()
     }
@@ -169,8 +170,9 @@ impl TageScl {
     }
 
     /// Advances all histories past `record`; call once per dynamic branch.
-    pub fn update_history(&mut self, record: &BranchRecord) {
-        self.tage.update_history(record);
+    /// Returns the fold step TAGE applied (see [`Tage::update_history`]).
+    pub fn update_history(&mut self, record: &BranchRecord) -> FoldStep {
+        self.tage.update_history(record)
     }
 
     /// Direct access to the TAGE core (diagnostics).

@@ -1,11 +1,17 @@
-//! Randomized tests for the TAGE substrate: folded histories, the history
-//! ring, bimodal counters, and predictor determinism.
+//! Randomized tests for the TAGE substrate: folded histories and fold banks,
+//! the history ring, bimodal counters, and predictor determinism.
 //!
 //! Property tests driven by the in-repo deterministic PRNG
 //! (`telemetry::SplitMix64`), so the workspace needs no registry access.
 
+use llbpx::LlbpConfig;
+use tage::folded::{FoldBank, FoldStep};
+use tage::history::HISTORY_CAPACITY;
+use tage::{
+    DirectionPredictor, FoldedHistory, GlobalHistory, PredictInput, TageScl, TslConfig,
+    HISTORY_LENGTHS, NUM_TABLES,
+};
 use telemetry::SplitMix64;
-use tage::{DirectionPredictor, FoldedHistory, GlobalHistory, PredictInput, TageScl, TslConfig};
 use traces::BranchRecord;
 
 fn rand_bits(rng: &mut SplitMix64, min: u64, max: u64) -> Vec<bool> {
@@ -52,6 +58,77 @@ fn folded_history_is_windowed() {
             f.value()
         };
         assert_eq!(run(&prefix_a), run(&prefix_b));
+    }
+}
+
+/// A fold bank under test, with the widths it was built from.
+struct BankUnderTest<const K: usize> {
+    bank: FoldBank<K>,
+    widths: [[u32; K]; NUM_TABLES],
+}
+
+impl<const K: usize> BankUnderTest<K> {
+    fn new(widths: impl Fn(usize) -> [u32; K]) -> Self {
+        BankUnderTest { bank: FoldBank::new(&widths), widths: std::array::from_fn(widths) }
+    }
+
+    fn assert_matches_reference(&self, h: &GlobalHistory, what: &str) {
+        for (t, widths) in self.widths.iter().enumerate() {
+            let length = HISTORY_LENGTHS[t];
+            for (k, &width) in widths.iter().enumerate() {
+                let reference = FoldedHistory::new(length, width).compute_reference(h);
+                assert_eq!(
+                    self.bank.value(t, k),
+                    reference,
+                    "{what}: length {length} width {width}"
+                );
+            }
+        }
+    }
+}
+
+/// Every fold of a [`FoldBank`], at every (length, width) pair the
+/// predictors use, equals its closed-form reference while a bit stream wraps
+/// the history ring twice over; and bit `t` of the fold step's outgoing mask
+/// is the history bit of age `HISTORY_LENGTHS[t]`.
+#[test]
+fn fold_bank_matches_reference_at_every_width_in_use() {
+    // TAGE: index width, tag width and tag width - 1, at 64K and 512K.
+    let tage_cfgs = [TslConfig::kilobytes(64).tage, TslConfig::kilobytes(512).tage];
+    assert_eq!(tage_cfgs.each_ref().map(|c| c.log2_entries), [10, 13]);
+    let mut tage_banks = tage_cfgs.map(|cfg| {
+        BankUnderTest::new(move |t| [cfg.log2_entries, cfg.tag_bits(t), cfg.tag_bits(t) - 1])
+    });
+    // LLBP: pattern tag width and width - 1, at the baseline and 20-bit tags.
+    let mut llbp_banks = [LlbpConfig::paper_baseline(), LlbpConfig::with_20b_tags()]
+        .map(|c| c.pattern_tag_bits)
+        .map(|bits| BankUnderTest::new(move |_| [bits, bits - 1]));
+
+    let mut rng = SplitMix64::new(0x6261_6e6b);
+    let pushes = 2 * HISTORY_CAPACITY + 1 + rng.next_below(HISTORY_CAPACITY as u64) as usize;
+    let mut h = GlobalHistory::new();
+    for i in 1..=pushes {
+        h.push(rng.next_bool(0.5));
+        let step = FoldStep::read(&h);
+        for b in &mut tage_banks {
+            b.bank.update(step);
+        }
+        for b in &mut llbp_banks {
+            b.bank.update(step);
+        }
+        if i % 997 != 0 && i != pushes {
+            continue;
+        }
+        for (t, &length) in HISTORY_LENGTHS.iter().enumerate() {
+            let outgoing = u64::from(step.outgoing() >> t) & 1;
+            assert_eq!(outgoing, h.bit(length), "outgoing bit of length {length} after {i} pushes");
+        }
+        for b in &tage_banks {
+            b.assert_matches_reference(&h, "TAGE");
+        }
+        for b in &llbp_banks {
+            b.assert_matches_reference(&h, "LLBP");
+        }
     }
 }
 

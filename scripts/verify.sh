@@ -22,6 +22,20 @@ cargo test -q --offline
 echo "== build: perfbench against the engine API =="
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+# perfbench exits 0 even when a cell's counters differ from
+# perfbench/reference.json: its verdict is the last line of its output.
+# llbpx_fig12 is the workload whose cells run LLBP, LLBP-X and Opt-W.
+echo "== smoke: perfbench llbpx_fig12 counters match the reference =="
+bench_result="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload llbpx_fig12 --seconds 1 --trace 0 2>/dev/null | tail -n 1)"
+python3 - "$bench_result" <<'EOF'
+import json, sys
+res = json.loads(sys.argv[1])
+assert res["correct"] is True, f"counters differ from perfbench/reference.json: {res}"
+assert res["failed"] == 0, f"{res['failed']} of {res['attempted']} cells failed"
+print(f"ok: {res['attempted']} cells, counters equal to the reference")
+EOF
+
 # The library crates deny unwrap/expect outside tests (see the
 # `#![cfg_attr(not(test), deny(...))]` attribute in each crate's lib.rs);
 # clippy enforces it when available.

@@ -2,15 +2,16 @@
 //! pinning for the optimized hot path.
 //!
 //! Style follows `crates/tage/tests/randomized.rs`: deterministic seeded
-//! inputs, offline, no external harness. The timing tests measure the two
-//! kernels the hot-path work targets — `TageScl` predict/update and
-//! `PatternSet::find_longest` — [`REPEATS`] times each and report the
-//! median nanoseconds per call with its min and median absolute deviation
-//! (MAD) on stderr (`cargo test --release --test kernel_bench --
+//! inputs, offline, no external harness. The timing tests measure the three
+//! kernels the hot-path work targets — `TageScl` predict/update, its
+//! history and fold update, and `PatternSet::find_longest` — [`REPEATS`]
+//! times each and report the median nanoseconds per call with its min and
+//! median absolute deviation (MAD) on stderr (`cargo test --release --test kernel_bench --
 //! --nocapture`) and, with `LLBPX_TELEMETRY=1`, into the local sink
 //! `BENCH_kernel_bench.json`. Assertions stay loose on absolute speed (CI
 //! machines vary); the pinned-accuracy test is exact.
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use bpsim::runner::Simulation;
@@ -94,7 +95,7 @@ fn branch_batch(seed: u64) -> Vec<BranchRecord> {
             // Direction correlates with recent global history plus noise:
             // predictable enough to populate tagged tables, noisy enough
             // to keep training active.
-            let taken = (history ^ pc).count_ones() % 3 != 0 || rng.next_bool(0.1);
+            let taken = !(history ^ pc).count_ones().is_multiple_of(3) || rng.next_bool(0.1);
             history = (history << 1) | taken as u64;
             BranchRecord::cond(pc, pc + 0x100, taken, 2)
         })
@@ -125,6 +126,20 @@ fn tage_process_kernel_latency() {
     // runs in well under a microsecond per branch on any machine.
     assert!(t.median < 100_000.0, "predict/update took {:.0} ns/branch", t.median);
     emit_kernel_ns("tage::process", records.len(), &t);
+}
+
+#[test]
+fn tage_update_history_kernel_latency() {
+    let records = branch_batch(0x6869_7374);
+    let mut tsl = TageScl::new(TslConfig::kilobytes(64));
+    let t = time_repeated(records.len(), || {
+        for rec in &records {
+            black_box(tsl.update_history(black_box(rec)));
+        }
+    });
+    assert!(t.min > 0.0, "the kernel takes measurable time");
+    assert!(t.median < 100_000.0, "update_history took {:.0} ns/branch", t.median);
+    emit_kernel_ns("tage::update_history", records.len(), &t);
 }
 
 #[test]
